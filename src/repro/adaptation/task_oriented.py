@@ -31,6 +31,11 @@ from repro.embeddings.base import EmbeddingModel
 from repro.text.tokenizer import ChemTokenizer
 from repro.utils.rng import SeedLike, derive_rng
 
+#: Why Algorithm 2 rejects phrase-level models (they have no token vectors).
+PHRASE_LEVEL_ERROR = (
+    "task-oriented adaptation requires a token-level embedding model"
+)
+
 
 @dataclass(frozen=True)
 class TaskOrientedConfig:
@@ -113,9 +118,7 @@ def select_stop_tokens(
     embeddings (Tables 3a/A7 dashes), and this function raises for them.
     """
     if embeddings.phrase_level:
-        raise ValueError(
-            "task-oriented adaptation requires a token-level embedding model"
-        )
+        raise ValueError(PHRASE_LEVEL_ERROR)
     config = config or TaskOrientedConfig()
     tokenizer = tokenizer or ChemTokenizer()
     rng = derive_rng(config.seed, "task-oriented", embeddings.name)
@@ -191,6 +194,7 @@ def task_oriented_filter(
 
 
 __all__ = [
+    "PHRASE_LEVEL_ERROR",
     "TaskOrientedConfig",
     "head_tail_token_frequencies",
     "select_stop_tokens",

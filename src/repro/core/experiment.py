@@ -2,11 +2,16 @@
 
 Benchmarks and examples need the same expensive objects — the synthetic
 ontology, the corpora, six trained embedding models, a pretrained mini-BERT,
-task datasets and their splits.  :class:`Lab` exposes each lazily, exactly
-as it always has; underneath, the substrates now form an explicit
-**stage graph** (:mod:`repro.pipeline`) where every substrate is a named
-stage with declared dependencies and a deterministic content-addressed
-cache key.
+task datasets and their splits.  :class:`Lab` exposes each lazily; the
+substrates form an explicit **stage graph** (:mod:`repro.pipeline`) where
+every substrate is a named stage with declared dependencies and a
+deterministic content-addressed cache key.
+
+:mod:`repro.pipeline.stages` is the only place a substrate is built.  Each
+``Lab`` accessor checks its arguments against the same sources of truth the
+graph is registered from (task numbers, embedding names, adaptation kinds)
+and then materialises one stage; an argument the graph has no stage for is
+rejected before anything is built.
 
 Three consequences of the graph:
 
@@ -39,27 +44,18 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.adaptation.naive import naive_token_filter
-from repro.adaptation.task_oriented import (
-    TaskOrientedConfig,
-    select_stop_tokens,
-    stopword_filter,
-)
-from repro.bert.finetune import FineTuneConfig, FineTunedClassifier, fine_tune
+from repro.adaptation.task_oriented import PHRASE_LEVEL_ERROR, stopword_filter
+from repro.bert.finetune import FineTuneConfig, FineTunedClassifier
 from repro.bert.model import MiniBert
 from repro.bert.wordpiece import WordPieceTokenizer
-from repro.core.datasets import (
-    Dataset,
-    DatasetSplit,
-    build_task_dataset,
-    train_test_split_9_1,
-    train_val_test_split_8_1_1,
-)
-from repro.core.tasks import positive_triples
+from repro.core.datasets import Dataset, DatasetSplit
+from repro.core.tasks import task_by_number
 from repro.embeddings.base import EmbeddingModel
-from repro.embeddings.registry import MODEL_NAMES
+from repro.embeddings.registry import MODEL_NAMES, STATIC_MODEL_NAMES
 from repro.metrics.classification import ClassificationReport, evaluate_binary
 from repro.ml.features import FeatureExtractor, TokenFilter
 from repro.ml.forest import RandomForest, RandomForestConfig
@@ -123,16 +119,8 @@ class LabConfig:
     artifact_dir: Optional[str] = None
 
 
-# The paper protocol's pinned subsample streams (Section 2.5): split caps
-# draw from fixed streams so train/test membership never shifts under
-# config sweeps.  PR 4's golden outputs encode exactly these values — both
-# the Lab memo splits and the pipeline stage builders must use these
-# constants (statcheck FLOW001 traces seed provenance to enforce it).
-ML_TRAIN_SPLIT_SEED = 1
-ML_TEST_SPLIT_SEED = 2
-FT_TRAIN_SPLIT_SEED = 3
-FT_TEST_SPLIT_SEED = 4
-FT_VALIDATION_SPLIT_SEED = 5
+#: The grid search's pinned subsample stream (Section 2.6); the split
+#: streams live beside the split builders in :mod:`repro.pipeline.stages`.
 GRID_SEARCH_CAP_SEED = 6
 
 
@@ -174,6 +162,25 @@ def lab_graph() -> StageGraph:
     return _GRAPH
 
 
+def _check_embedding(name: str) -> None:
+    if name not in MODEL_NAMES:
+        raise KeyError(
+            f"unknown embedding {name!r}; have {sorted(MODEL_NAMES)}"
+        )
+
+
+def _check_adaptation(kind: str, embedding_name: Optional[str]) -> None:
+    if kind not in ADAPTATIONS:
+        raise ValueError(f"unknown adaptation {kind!r}; valid: {ADAPTATIONS}")
+    if kind != "task-oriented":
+        return
+    if embedding_name is None:
+        raise ValueError("task-oriented adaptation needs an embedding name")
+    _check_embedding(embedding_name)
+    if embedding_name not in STATIC_MODEL_NAMES:
+        raise ValueError(PHRASE_LEVEL_ERROR)
+
+
 class Lab:
     """Lazily constructed, cached experimental apparatus (a stage-graph facade)."""
 
@@ -186,7 +193,6 @@ class Lab:
         self._cache: Dict[str, object] = {}
         self._stage_locks: Dict[str, threading.Lock] = {}
         self._locks_guard = threading.Lock()
-        self._filter_cache: Dict[str, TokenFilter] = {}
         self._keys: Dict[str, str] = self.graph.keys(self.config)
         record_config(self.config)
 
@@ -244,14 +250,6 @@ class Lab:
                 record_stage_event(name, status, key=key, duration_s=duration)
             self._cache[name] = artifact
             return artifact
-
-    def _memo(self, key: str, build: Callable[[], object]) -> object:
-        """Thread-safe memo for facade-level (non-stage) cached objects."""
-        with self._lock_for(key):
-            if key not in self._cache:
-                with span(f"lab.{key}"):
-                    self._cache[key] = build()
-            return self._cache[key]
 
     def warm(
         self,
@@ -313,83 +311,29 @@ class Lab:
 
     # -- embeddings ----------------------------------------------------------------
 
-    @property
+    @cached_property
     def embeddings(self) -> Dict[str, EmbeddingModel]:
-        return self._memo(
-            "embeddings",
-            lambda: {
-                name: self.materialize(f"embedding-{name}")
-                for name in MODEL_NAMES
-            },
-        )
+        return {name: self.embedding(name) for name in MODEL_NAMES}
 
     def embedding(self, name: str) -> EmbeddingModel:
-        if f"embedding-{name}" in self.graph:
-            return self.materialize(f"embedding-{name}")
-        raise KeyError(
-            f"unknown embedding {name!r}; have {sorted(self.embeddings)}"
-        )
+        _check_embedding(name)
+        return self.materialize(f"embedding-{name}")
 
     # -- datasets ---------------------------------------------------------------------
 
     def dataset(self, task: int) -> Dataset:
-        stage_name = f"dataset-{task}"
-        if stage_name in self.graph:
-            return self.materialize(stage_name)
-        # Unusual task numbers fall through to the direct construction so
-        # the original diagnostics (unknown task, ...) surface unchanged.
-        return self._memo(
-            stage_name,
-            lambda: build_task_dataset(
-                self.ontology, task, seed=self.config.dataset_seed
-            ),
-        )
+        task_by_number(task)
+        return self.materialize(f"dataset-{task}")
 
     def ml_split(self, task: int) -> DatasetSplit:
         """9:1 supervised-learning split with the configured size caps."""
-        stage_name = f"ml-split-{task}"
-        if stage_name in self.graph:
-            return self.materialize(stage_name)
-
-        def build():
-            split = train_test_split_9_1(self.dataset(task), seed=self.config.seed)
-            return DatasetSplit(
-                train=subsample(
-                    split.train, self.config.max_train,
-                    seed=ML_TRAIN_SPLIT_SEED,
-                ),
-                test=subsample(
-                    split.test, self.config.max_test, seed=ML_TEST_SPLIT_SEED
-                ),
-            )
-
-        return self._memo(stage_name, build)
+        task_by_number(task)
+        return self.materialize(f"ml-split-{task}")
 
     def ft_split(self, task: int) -> DatasetSplit:
         """8:1:1 fine-tuning split with the configured size caps."""
-        stage_name = f"ft-split-{task}"
-        if stage_name in self.graph:
-            return self.materialize(stage_name)
-
-        def build():
-            split = train_val_test_split_8_1_1(
-                self.dataset(task), seed=self.config.seed
-            )
-            return DatasetSplit(
-                train=subsample(
-                    split.train, self.config.max_train,
-                    seed=FT_TRAIN_SPLIT_SEED,
-                ),
-                test=subsample(
-                    split.test, self.config.max_test, seed=FT_TEST_SPLIT_SEED
-                ),
-                validation=subsample(
-                    split.validation, self.config.max_test,
-                    seed=FT_VALIDATION_SPLIT_SEED,
-                ),
-            )
-
-        return self._memo(stage_name, build)
+        task_by_number(task)
+        return self.materialize(f"ft-split-{task}")
 
     # -- adaptations --------------------------------------------------------------------
 
@@ -399,39 +343,16 @@ class Lab:
         """Token filter for an adaptation kind (and embedding, if needed).
 
         ``none`` returns ``None``; ``naive`` is shared across embeddings;
-        ``task-oriented`` runs Algorithm 2 once per embedding and caches the
-        stop-word set (in the artifact store too, when configured).
+        ``task-oriented`` wraps the embedding's ``task-filter-*`` stage, so
+        Algorithm 2 runs once per embedding (and persists in the artifact
+        store, when configured).
         """
-        if kind not in ADAPTATIONS:
-            raise ValueError(f"unknown adaptation {kind!r}; valid: {ADAPTATIONS}")
+        _check_adaptation(kind, embedding_name)
         if kind == "none":
             return None
         if kind == "naive":
             return naive_token_filter()
-        if embedding_name is None:
-            raise ValueError("task-oriented adaptation needs an embedding name")
-        with self._lock_for(f"filter-{embedding_name}"):
-            cached = self._filter_cache.get(embedding_name)
-            if cached is not None:
-                return cached
-            stage_name = f"task-filter-{embedding_name}"
-            if stage_name in self.graph:
-                stop_tokens = self.materialize(stage_name)
-            else:
-                # Embeddings outside the static lineup (e.g. contextual
-                # models) have no graph stage; build inline as before.
-                def build():
-                    positives = positive_triples(self.ontology)
-                    return select_stop_tokens(
-                        positives,
-                        self.embedding(embedding_name),
-                        TaskOrientedConfig(seed=self.config.seed),
-                    )
-
-                stop_tokens = self._memo(stage_name, build)
-            token_filter = stopword_filter(stop_tokens)
-            self._filter_cache[embedding_name] = token_filter
-            return token_filter
+        return stopword_filter(self.materialize(f"task-filter-{embedding_name}"))
 
     # -- evaluation helpers -----------------------------------------------------------------
 
@@ -457,26 +378,10 @@ class Lab:
         Several experiments reuse the same trained forests (Tables 3/6,
         Figures 2/A1), so cells are trained once per Lab.
         """
-        stage_name = f"forest-{task}-{embedding_name}-{adaptation}"
-        if stage_name in self.graph:
-            return self.materialize(stage_name)
-
-        # Combinations outside the graph (unknown embeddings, task-oriented
-        # on a contextual model) build directly so the original diagnostics
-        # surface unchanged.
-        def build():
-            split = self.ml_split(task)
-            token_filter = self.adaptation_filter(adaptation, embedding_name)
-            extractor = FeatureExtractor(
-                self.embedding(embedding_name), token_filter
-            )
-            forest = RandomForest(self.rf_config()).fit(
-                extractor.matrix(split.train.triples),
-                extractor.labels(split.train.triples),
-            )
-            return extractor, forest
-
-        return self._memo(stage_name, build)
+        task_by_number(task)
+        _check_adaptation(adaptation, embedding_name)
+        _check_embedding(embedding_name)
+        return self.materialize(f"forest-{task}-{embedding_name}-{adaptation}")
 
     def evaluate_random_forest(
         self, task: int, embedding_name: str, adaptation: str = "none"
@@ -497,22 +402,8 @@ class Lab:
 
     def fine_tuned(self, task: int) -> FineTunedClassifier:
         """Memoized fine-tuned classifier for a task (Table 4 protocol)."""
-        stage_name = f"fine-tuned-{task}"
-        if stage_name in self.graph:
-            return self.materialize(stage_name)
-
-        def build():
-            split = self.ft_split(task)
-            return fine_tune(
-                self.bert,
-                split.train.triples,
-                self.ft_config(),
-                validation_triples=(
-                    split.validation.triples if split.validation else None
-                ),
-            )
-
-        return self._memo(stage_name, build)
+        task_by_number(task)
+        return self.materialize(f"fine-tuned-{task}")
 
     def evaluate_fine_tuned(self, task: int) -> ClassificationReport:
         """Evaluate the cached fine-tuned model on the FT test split."""

@@ -20,7 +20,7 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 PathLike = Union[str, Path]
 
@@ -45,8 +45,9 @@ class Journal:
 
     Records are ``{"key": str, "value": <json>}``; ``load`` returns the
     key-to-value mapping of every intact record and stops at the first
-    corrupt line (the torn tail of a crashed append).  ``record`` keeps the
-    file handle open across calls and fsyncs each append by default.
+    corrupt line (the torn tail of a crashed append).  ``record`` cuts such
+    a tail before its first append, keeps the file handle open across
+    calls, and fsyncs each append by default.
     """
 
     def __init__(self, path: PathLike, sync: bool = True):
@@ -60,24 +61,49 @@ class Journal:
 
     def load(self) -> Dict[str, object]:
         """Completed entries on disk; ``{}`` when the journal doesn't exist."""
+        return self._scan()[0]
+
+    def _scan(self) -> Tuple[Dict[str, object], int]:
+        """Intact entries, and the byte offset just past the last of them."""
         entries: Dict[str, object] = {}
+        intact_end = 0
         try:
-            handle = open(self.path, "r", encoding="utf-8")
+            data = self.path.read_bytes()
         except (FileNotFoundError, IsADirectoryError):
-            return entries
-        with handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    break  # torn tail from a crash; later bytes untrustworthy
-                if not isinstance(record, dict) or "key" not in record:
-                    break
-                entries[str(record["key"])] = record.get("value")
-        return entries
+            return entries, intact_end
+        offset = 0
+        for raw in data.splitlines(keepends=True):
+            offset += len(raw)
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError:
+                break  # torn tail from a crash; later bytes untrustworthy
+            if not isinstance(record, dict) or "key" not in record:
+                break
+            entries[str(record["key"])] = record.get("value")
+            intact_end = offset
+        return entries, intact_end
+
+    def _open_for_append(self):
+        """Open for appending after cutting any torn tail a crash left.
+
+        Appending after torn bytes would glue the first new record onto the
+        corrupt line; ``load`` stops there, so every record written after
+        the crash would be invisible to the next resume.
+        """
+        if str(self.path.parent):
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+        intact_end = self._scan()[1]
+        handle = open(self.path, "a+b")
+        handle.truncate(intact_end)
+        if intact_end:
+            handle.seek(intact_end - 1)
+            if handle.read(1) != b"\n":
+                handle.write(b"\n")  # the crash cut only the newline
+        return handle
 
     def record(self, key: str, value: object) -> None:
         """Append one completed entry (flushed, and fsynced when ``sync``).
@@ -86,19 +112,13 @@ class Journal:
         some order; :meth:`load` replays them into a key-value map, so the
         append order never affects a resumed run's results.
         """
+        line = json.dumps(
+            {"key": key, "value": value}, separators=(",", ":"), sort_keys=True
+        )
         with self._lock:
             if self._handle is None:
-                if str(self.path.parent):
-                    self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._handle = open(self.path, "a", encoding="utf-8")
-            self._handle.write(
-                json.dumps(
-                    {"key": key, "value": value},
-                    separators=(",", ":"),
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+                self._handle = self._open_for_append()
+            self._handle.write(line.encode("utf-8") + b"\n")
             self._handle.flush()
             if self.sync:
                 os.fsync(self._handle.fileno())

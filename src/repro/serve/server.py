@@ -4,8 +4,10 @@ A :class:`ThreadingHTTPServer` whose handler translates between the wire
 schemas (:mod:`repro.serve.schemas`) and :class:`CurationService`:
 
 * ``POST /v1/classify`` — classify one triple or a batch; 400 on schema
-  errors, 404 on unknown backends, 503 + ``Retry-After`` when the request
-  was shed, 500 (counted) on anything else.
+  errors or a malformed ``Content-Length``, 413 on a body over
+  :data:`MAX_BODY_BYTES` (both framing errors also close the connection),
+  404 on unknown backends, 503 + ``Retry-After`` when the request was
+  shed, 500 (counted) on anything else.
 * ``GET /healthz`` — liveness + the backend lineup.
 * ``GET /statz`` — request/shed/latency counters and per-backend breaker
   and batcher snapshots.
@@ -36,6 +38,10 @@ from repro.serve.service import CurationService, ShedError
 MAX_BODY_BYTES = 1 << 20
 
 
+class PayloadTooLarge(SchemaError):
+    """A request body over :data:`MAX_BODY_BYTES` (answered with 413)."""
+
+
 class CurationRequestHandler(BaseHTTPRequestHandler):
     """Routes HTTP requests onto the owning server's ``service``."""
 
@@ -54,13 +60,24 @@ class CurationRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in headers:
             self.send_header(name, value)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
+        raw = self.headers.get("Content-Length", "0").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            # The body cannot be framed, so the connection cannot be reused.
+            self.close_connection = True
             raise SchemaError(
+                f"Content-Length must be a non-negative integer, got {raw!r}"
+            )
+        length = int(raw)
+        if length > MAX_BODY_BYTES:
+            # The unread body must not be parsed as the next request.
+            self.close_connection = True
+            raise PayloadTooLarge(
                 f"request body of {length} bytes exceeds the "
                 f"{MAX_BODY_BYTES}-byte cap"
             )
@@ -87,6 +104,8 @@ class CurationRequestHandler(BaseHTTPRequestHandler):
             backend, labels, batch_size = service.classify(
                 request.backend, request.triples
             )
+        except PayloadTooLarge as error:
+            self._send_json(413, error_response(413, str(error)))
         except SchemaError as error:
             self._send_json(400, error_response(400, str(error)))
         except KeyError as error:
@@ -153,6 +172,7 @@ def stop_server(
 __all__ = [
     "MAX_BODY_BYTES",
     "CurationRequestHandler",
+    "PayloadTooLarge",
     "CurationHTTPServer",
     "start_server",
     "stop_server",

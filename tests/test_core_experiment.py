@@ -6,7 +6,13 @@ from repro.core.datasets import Dataset
 from repro.core.experiment import Lab, LabConfig, subsample
 from repro.core.triples import LabeledTriple
 from repro.embeddings.registry import MODEL_NAMES
+from repro.obs import trace
+from repro.obs.manifest import build_manifest, clear_context
+from repro.obs.trace import get_tracer
 from repro.ontology.relations import IS_A
+from tests.conftest import MICRO_LAB_CONFIG
+
+UNKNOWN_EMBEDDING = "unknown embedding {!r}; have " + str(sorted(MODEL_NAMES))
 
 
 class TestSubsample:
@@ -131,3 +137,77 @@ class TestGridSearch:
             extractor.matrix(split.test.triples[:20])
         )
         assert set(predictions.tolist()) <= {0, 1}
+
+
+class TestOneMaterializationPath:
+    """Every accessor is a stage lookup: arguments the graph has no stage
+    for are rejected before anything is built, and every ``lab.*`` span is
+    a recorded stage."""
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda lab: lab.dataset(9), KeyError,
+             "no task 9; valid numbers are 1-3"),
+            (lambda lab: lab.ml_split(0), KeyError,
+             "no task 0; valid numbers are 1-3"),
+            (lambda lab: lab.ft_split(7), KeyError,
+             "no task 7; valid numbers are 1-3"),
+            (lambda lab: lab.fine_tuned(4), KeyError,
+             "no task 4; valid numbers are 1-3"),
+            (lambda lab: lab.trained_forest(1, "PubmedBERT", "task-oriented"),
+             ValueError,
+             "task-oriented adaptation requires a token-level embedding model"),
+            (lambda lab: lab.adaptation_filter("task-oriented", "PubmedBERT"),
+             ValueError,
+             "task-oriented adaptation requires a token-level embedding model"),
+            (lambda lab: lab.trained_forest(1, "NotAModel", "none"), KeyError,
+             UNKNOWN_EMBEDDING.format("NotAModel")),
+            (lambda lab: lab.trained_forest(1, "GloVe", "bogus"), ValueError,
+             "unknown adaptation 'bogus'; valid: "
+             "('none', 'naive', 'task-oriented')"),
+            (lambda lab: lab.embedding("Nope"), KeyError,
+             UNKNOWN_EMBEDDING.format("Nope")),
+        ],
+        ids=[
+            "dataset-9", "ml-split-0", "ft-split-7", "fine-tuned-4",
+            "forest-task-oriented-PubmedBERT", "filter-task-oriented-PubmedBERT",
+            "forest-NotAModel", "forest-bogus-adaptation", "embedding-Nope",
+        ],
+    )
+    def test_off_graph_arguments_raise_before_any_build(
+        self, call, error, message
+    ):
+        lab = Lab(MICRO_LAB_CONFIG)
+        clear_context()
+        with pytest.raises(error) as excinfo:
+            call(lab)
+        assert excinfo.value.args == (message,)
+        assert build_manifest()["context"].get("stages", {}) == {}
+
+    def test_every_lab_span_is_a_recorded_stage(self):
+        tracer = get_tracer()
+        was_enabled = tracer.enabled
+        tracer.enabled = True
+        trace.reset()
+        clear_context()
+        try:
+            lab = Lab(MICRO_LAB_CONFIG)
+            assert list(lab.embeddings) == list(MODEL_NAMES)  # the row lineup
+            lab.evaluate_random_forest(1, "W2V-Chem", "naive")  # one cell
+            manifest = build_manifest()
+        finally:
+            tracer.enabled = was_enabled
+            trace.reset()
+
+        def lab_spans(spans):
+            for span in spans:
+                if span["name"].startswith("lab."):
+                    yield span["name"]
+                yield from lab_spans(span.get("children", []))
+
+        names = set(lab_spans(manifest["spans"]))
+        assert "lab.forest-1-W2V-Chem-naive" in names
+        stages = manifest["context"]["stages"]
+        unrecorded = {name for name in names if name[len("lab."):] not in stages}
+        assert not unrecorded

@@ -85,6 +85,24 @@ class TestJournal:
             handle.write('{"key": "c", "val')  # crash mid-append
         assert Journal(path).load() == {"a": "true", "b": "false"}
 
+    def test_appends_after_torn_tail_survive_the_next_load(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        with Journal(path) as journal:
+            journal.record("a", "true")
+            journal.record("b", {"model": "m"})
+        intact = path.read_bytes()
+        last_start = intact.rindex(b"\n", 0, len(intact) - 1) + 1
+        for cut in range(last_start, len(intact)):
+            path.write_bytes(intact[:cut])  # crash mid-append of record "b"
+            with Journal(path) as journal:
+                journal.record("c", 1)
+                journal.record("d", [2])
+            loaded = Journal(path).load()
+            assert loaded["c"] == 1 and loaded["d"] == [2], cut
+            assert loaded["a"] == "true", cut
+            # only the newline was lost: the record itself is intact
+            assert ("b" in loaded) == (cut == len(intact) - 1), cut
+
     def test_non_record_line_stops_load(self, tmp_path):
         path = tmp_path / "j.jsonl"
         with open(path, "w", encoding="utf-8") as handle:

@@ -3,6 +3,7 @@ same contract observed through HTTP: 503 + Retry-After, never silence."""
 
 import http.client
 import json
+import socket
 
 import pytest
 
@@ -10,7 +11,8 @@ from repro.core.triples import LabeledTriple
 from repro.ontology.relations import HAS_ROLE
 from repro.resilience.faults import FaultClock
 from repro.serve.curator import Curator
-from repro.serve.server import start_server, stop_server
+from repro.obs.trace import get_tracer
+from repro.serve.server import MAX_BODY_BYTES, start_server, stop_server
 from repro.serve.service import Backend, CurationService, ServeStats, ShedError
 
 
@@ -301,5 +303,99 @@ class TestHttpContract:
             assert statz["totals"]["requests"] == 1
             assert statz["backends"]["stub"]["breaker"] == "closed"
             assert statz["backends"]["stub"]["batcher"]["triples"] == 1
+        finally:
+            fixture.close()
+
+
+def raw_exchange(port, head):
+    """Send raw request bytes; return everything read until the server
+    closes the connection (a hung handler fails on the socket timeout)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(head)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def classify_head(content_length):
+    return (
+        "POST /v1/classify HTTP/1.1\r\n"
+        "Host: localhost\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {content_length}\r\n"
+        "\r\n"
+    ).encode("ascii")
+
+
+def parse_single_response(data):
+    """Status, headers and JSON payload of exactly one HTTP response."""
+    head, _, body = data.partition(b"\r\n\r\n")
+    lines = head.decode("ascii").split("\r\n")
+    status = int(lines[0].split()[1])
+    headers = dict(line.split(": ", 1) for line in lines[1:])
+    length = int(headers["Content-Length"])
+    assert len(body) == length, "trailing bytes after the one response"
+    return status, headers, json.loads(body.decode("utf-8"))
+
+
+class TestContentLength:
+    """A body the server cannot frame is refused typed and bounded, and the
+    connection closes so no unread bytes reach the next request."""
+
+    @pytest.mark.parametrize("value", ["-1", "abc", "1e3", ""])
+    def test_malformed_length_is_400_and_closes(self, value):
+        fixture = HttpFixture()
+        tracer = get_tracer()
+        was_enabled = tracer.enabled
+        tracer.enabled = True
+        before = tracer.counters().get("serve.internal_errors", 0)
+        try:
+            data = raw_exchange(fixture.port, classify_head(value))
+            status, headers, payload = parse_single_response(data)
+            assert status == 400
+            assert payload["status"] == 400
+            assert "Content-Length" in payload["error"]
+            assert headers["Connection"] == "close"
+            assert tracer.counters().get("serve.internal_errors", 0) == before
+            assert fixture.curator.calls == 0
+        finally:
+            tracer.enabled = was_enabled
+            fixture.close()
+
+    def test_oversized_body_is_413_and_closes(self):
+        fixture = HttpFixture()
+        try:
+            data = raw_exchange(
+                fixture.port, classify_head(MAX_BODY_BYTES + 1)
+            )
+            status, headers, payload = parse_single_response(data)
+            assert status == 413
+            assert payload["status"] == 413
+            assert str(MAX_BODY_BYTES) in payload["error"]
+            assert headers["Connection"] == "close"
+            assert fixture.curator.calls == 0
+        finally:
+            fixture.close()
+
+    def test_well_formed_requests_keep_the_connection_alive(self):
+        fixture = HttpFixture()
+        try:
+            body = json.dumps({"triple": TRIPLE}).encode("utf-8")
+            with socket.create_connection(
+                ("127.0.0.1", fixture.port), timeout=5
+            ) as sock:
+                for _ in range(2):
+                    sock.sendall(classify_head(len(body)) + body)
+                    reply = b""
+                    while not reply.endswith(b"}"):
+                        chunk = sock.recv(65536)
+                        assert chunk, "server closed a keep-alive connection"
+                        reply += chunk
+                    status, headers, _ = parse_single_response(reply)
+                    assert status == 200
+                    assert "Connection" not in headers
         finally:
             fixture.close()
