@@ -34,10 +34,10 @@ def compute(lab):
             consistency=1.0,
         )
         client = SimulatedChatModel(profile, truth, 1, seed=lab.config.seed)
-        wrap, retry, journal = icl_resilience(f"ablation_oracle_{ability}")
+        engine_for, journal = icl_resilience(f"ablation_oracle_{ability}")
         result = run_icl_experiment(
-            wrap(client), list(split.train), queries, PromptVariant.BASE,
-            config, retry=retry, journal=journal,
+            client, list(split.train), queries, PromptVariant.BASE,
+            config, journal=journal, engine=engine_for(client),
         )
         rows[ability] = result.accuracy_mean
     return rows

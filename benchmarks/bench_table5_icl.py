@@ -61,12 +61,12 @@ def compute(lab):
                 )
                 # Optional fault injection / checkpointing via REPRO_FAULTS
                 # and REPRO_JOURNAL_DIR; no-op in a plain benchmark run.
-                wrap, retry, journal = icl_resilience(
+                engine_for, journal = icl_resilience(
                     f"table5_t{task}_{profile.name}_v{variant.value}"
                 )
                 results[(task, profile.name, variant)] = run_icl_experiment(
-                    wrap(client), list(split.train), queries, variant, config,
-                    retry=retry, journal=journal,
+                    client, list(split.train), queries, variant, config,
+                    journal=journal, engine=engine_for(client),
                 )
     return results
 

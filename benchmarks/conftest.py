@@ -115,14 +115,15 @@ def run_once(benchmark, fn, *args, **kwargs):
 def icl_resilience(label):
     """Resilience knobs for an ICL benchmark, from the environment.
 
-    Returns ``(wrap, retry, journal)``:
+    Returns ``(engine_for, journal)``:
 
-    * ``wrap(client)`` — identity, unless ``REPRO_FAULTS`` holds a fault
-      spec (e.g. ``timeout:0.1,http500:0.05``), in which case the client is
-      wrapped in a deterministic :class:`~repro.resilience.faults.FaultyClient`;
-    * ``retry`` — a :class:`~repro.resilience.retry.RetryPolicy` on a
-      virtual clock when faults are active (backoff costs no wall time),
-      else ``None``;
+    * ``engine_for(client)`` — ``None`` (``run_icl_experiment`` then builds
+      its one-backend default), unless ``REPRO_FAULTS`` holds a fault spec
+      (e.g. ``timeout:0.1,http500:0.05``), in which case it is a
+      one-backend :class:`~repro.delivery.DeliveryEngine` over a
+      deterministic :class:`~repro.resilience.faults.FaultyClient`, retried
+      by a :class:`~repro.resilience.retry.RetryPolicy` on a virtual clock
+      (backoff costs no wall time);
     * ``journal`` — ``$REPRO_JOURNAL_DIR/<label>.journal.jsonl`` when
       ``REPRO_JOURNAL_DIR`` is set, else ``None``.
 
@@ -131,14 +132,21 @@ def icl_resilience(label):
     """
     faults = os.environ.get("REPRO_FAULTS", "")
     journal_dir = os.environ.get("REPRO_JOURNAL_DIR", "")
-    wrap, retry, journal = (lambda client: client), None, None
-    if faults:
+    journal = None
+    if journal_dir:
+        journal = os.path.join(journal_dir, f"{label}.journal.jsonl")
+
+    def engine_for(client):
+        if not faults:
+            return None
+        from repro.delivery import DeliveryBackend, DeliveryEngine
         from repro.resilience.faults import FaultClock, FaultPlan, FaultyClient
         from repro.resilience.retry import RetryPolicy
 
         plan = FaultPlan.parse(faults, seed=BENCH_LAB_CONFIG.seed)
-        wrap = lambda client: FaultyClient(client, plan)  # noqa: E731
         retry = RetryPolicy(seed=BENCH_LAB_CONFIG.seed, clock=FaultClock())
-    if journal_dir:
-        journal = os.path.join(journal_dir, f"{label}.journal.jsonl")
-    return wrap, retry, journal
+        return DeliveryEngine(
+            [DeliveryBackend(client.name, FaultyClient(client, plan), retry=retry)]
+        )
+
+    return engine_for, journal

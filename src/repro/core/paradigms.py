@@ -19,14 +19,12 @@ from repro.bert.finetune import FineTuneConfig, fine_tune
 from repro.bert.model import MiniBert
 from repro.core.triples import LabeledTriple
 from repro.embeddings.base import EmbeddingModel
-from repro.llm.client import ChatClient, ChatClientError
-from repro.llm.icl import FALSE, TRUE, UNCLASSIFIED, parse_response
+from repro.llm.client import ChatClient
+from repro.llm.icl import TRUE, UNCLASSIFIED, _draw_examples, parse_response
 from repro.llm.prompts import PromptVariant, render_prompt
-from repro.resilience.retry import CircuitOpenError, RetryError, RetryPolicy
 from repro.ml.features import FeatureExtractor, TokenFilter
 from repro.ml.forest import RandomForest, RandomForestConfig
 from repro.ml.lstm import LSTMClassifier, LSTMConfig
-from repro.obs.trace import get_tracer
 from repro.utils.rng import SeedLike, derive_rng
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
@@ -196,15 +194,15 @@ class ICLParadigm(Paradigm):
     are updated — the defining property of the paradigm).  ``classify``
     renders one prompt per triple and parses the single completion;
     unparseable or abstaining completions come back as ``None``, as do
-    deliveries whose client failed permanently (transient failures are
-    retried when a ``retry`` policy is supplied).
+    deliveries that ended in a typed failure.
 
-    When an ``engine`` (:class:`repro.delivery.DeliveryEngine`) is supplied,
-    completions route through it instead of the raw client — gaining the
-    engine's retries, rate limits, hedging, and response cache.  Each query
-    is delivered at repeat index 0, so the answer is a pure function of the
-    prompt regardless of what else the engine is serving (the serving
-    batch-invariance contract).
+    Completions go through ``engine`` (a
+    :class:`repro.delivery.DeliveryEngine`), which carries the retries,
+    rate limits, hedging and response cache; without one, a one-backend
+    engine over ``client`` is built.  Each query is delivered at repeat
+    index 0, so the answer is a pure function of the prompt regardless of
+    what else the engine is serving (the serving batch-invariance
+    contract).
     """
 
     def __init__(
@@ -214,16 +212,18 @@ class ICLParadigm(Paradigm):
         n_examples_per_class: int = 3,
         seed: SeedLike = 0,
         name: Optional[str] = None,
-        retry: Optional[RetryPolicy] = None,
         engine: Optional["DeliveryEngine"] = None,
     ):
+        from repro.delivery import DeliveryBackend, DeliveryEngine
+
         super().__init__(name or f"ICL({client.name})")
         self.client = client
         self.variant = variant
         self.n_examples_per_class = n_examples_per_class
         self.seed = seed
-        self.retry = retry
-        self.engine = engine
+        self.engine = engine or DeliveryEngine(
+            [DeliveryBackend(client.name, client)]
+        )
         self._pool_pos: List[LabeledTriple] = []
         self._pool_neg: List[LabeledTriple] = []
 
@@ -237,63 +237,31 @@ class ICLParadigm(Paradigm):
             raise ValueError("training pool too small for the few-shot budget")
         return self
 
-    def _examples(
-        self, query: LabeledTriple, pool: List[LabeledTriple],
-        rng: np.random.Generator,
-    ) -> List[LabeledTriple]:
-        chosen: List[LabeledTriple] = []
-        seen = {query.key()}
-        attempts = 0
-        while len(chosen) < self.n_examples_per_class:
-            attempts += 1
-            if attempts > 100 * self.n_examples_per_class:
-                raise ValueError("example pool too small to avoid duplicates")
-            candidate = pool[int(rng.integers(0, len(pool)))]
-            if candidate.key() in seen:
-                continue
-            seen.add(candidate.key())
-            chosen.append(candidate)
-        return chosen
-
-    def _deliver(self, prompt: str) -> str:
-        """One completion via the engine when present, the client otherwise.
-
-        Engine failures surface as a non-retryable
-        :class:`~repro.llm.client.ChatClientError` so ``classify`` handles
-        both paths through one except clause.
-        """
-        if self.engine is not None:
-            from repro.delivery.engine import DeliveryError
-
-            try:
-                return self.engine.complete(prompt, repeat=0)
-            except DeliveryError as error:
-                raise ChatClientError(
-                    f"delivery failed: {error.outcome.status}",
-                    retryable=False,
-                    kind="delivery",
-                ) from error
-        if self.retry is None:
-            return self.client.complete(prompt)
-        return self.retry.call(self.client.complete, prompt)
-
     def classify(self, triples: Sequence[LabeledTriple]) -> List[Optional[int]]:
+        from repro.delivery import DeliveryError
+
         if not self._pool_pos:
             raise RuntimeError(f"{self.name} is not fitted")
         results: List[Optional[int]] = []
         for index, query in enumerate(triples):
             rng = derive_rng(self.seed, "icl-paradigm", index, query.as_text())
+            positives, negatives = _draw_examples(
+                self._pool_pos,
+                self._pool_neg,
+                query,
+                self.n_examples_per_class,
+                rng,
+            )
             prompt = render_prompt(
-                self._examples(query, self._pool_pos, rng),
-                self._examples(query, self._pool_neg, rng),
+                positives,
+                negatives,
                 query,
                 variant=self.variant,
                 seed=derive_rng(self.seed, "icl-paradigm-order", index),
             )
             try:
-                text = self._deliver(prompt)
-            except (ChatClientError, RetryError, CircuitOpenError):
-                get_tracer().count("icl.client_failures")
+                text = self.engine.complete(prompt, repeat=0)
+            except DeliveryError:
                 results.append(None)
                 continue
             answer = parse_response(text)

@@ -27,8 +27,8 @@ dispatch layer between the experiment loops and the chat clients:
 Determinism survives concurrency because delivery behaviour is pure in
 ``(prompt, repeat)``: clients expose
 :meth:`~repro.llm.client.ChatClient.complete_indexed`, so whichever thread,
-backend, or hedge wins produces the same completion the sequential loop
-would have — the engine's table is byte-identical to the sequential one.
+backend, or hedge wins produces the same completion a one-job engine
+would have — the ``--jobs 8`` table is byte-identical to the ``--jobs 1`` one.
 """
 
 from repro.delivery.backends import DeliveryBackend, LatencyClient, simulated_backends

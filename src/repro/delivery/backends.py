@@ -16,7 +16,7 @@ HTTP endpoint) wrapped in the protections a production path needs:
 Deliveries go through :meth:`~repro.llm.client.ChatClient.complete_indexed`
 with the repeat index made explicit, so a backend's answer is pure in
 ``(prompt, repeat)`` and identical replicas are interchangeable — the
-foundation of the engine's byte-identical-to-sequential guarantee.
+foundation of the engine's guarantee that ``--jobs N`` matches ``--jobs 1``.
 
 :class:`LatencyClient` models per-call network/inference latency on the
 injectable clock; it is what makes concurrency measurable for simulated
@@ -72,14 +72,6 @@ class LatencyClient(ChatClient):
     @property
     def name(self) -> str:
         return self.inner.name
-
-    def reset(self) -> None:
-        reset = getattr(self.inner, "reset", None)
-        if callable(reset):
-            reset()
-
-    def skip_delivery(self, prompt: str) -> None:
-        self.inner.skip_delivery(prompt)
 
     def delay_s(self, prompt: str, repeat: int) -> float:
         """The deterministic latency of one (prompt, repeat) call."""

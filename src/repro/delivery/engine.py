@@ -20,7 +20,7 @@
 Concurrency cannot change results: backends answer through
 ``complete_indexed(prompt, repeat)`` and replicas are interchangeable, so
 the outcome map is a pure function of the request set.  The ``--jobs 8``
-table is byte-identical to the sequential one.
+table is byte-identical to the ``--jobs 1`` one.
 
 Wall-clock calls are forbidden here by statcheck RES002 — every time read
 and sleep goes through the injected :class:`~repro.resilience.retry.Clock`
@@ -206,8 +206,8 @@ class DeliveryEngine:
     def complete(self, prompt: str, repeat: int = 0) -> str:
         """Deliver one prompt; raises :class:`DeliveryError` unless ``ok``.
 
-        The serving path (``ICLParadigm`` behind an engine) uses this: one
-        request, key derived from content, index pinned to 0 so routing and
+        :class:`~repro.core.paradigms.ICLParadigm` uses this: one request,
+        key derived from content, index pinned to 0 so routing and
         hedge jitter are pure functions of the prompt.
         """
         request = DeliveryRequest(

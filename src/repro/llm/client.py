@@ -65,29 +65,18 @@ class ChatClient(abc.ABC):
     ) -> str:
         """One delivery with the repeat index made explicit.
 
-        The concurrent delivery engine calls this instead of
-        :meth:`complete` so a completion is a pure function of ``(prompt,
-        repeat)`` regardless of thread schedule.  ``timeout_s`` is the
-        remaining deadline budget for this attempt; clients without a
-        network ignore it.  The default delegates to :meth:`complete` —
-        correct only for clients whose answer does not depend on delivery
-        history (stateful simulators override it).
+        The delivery engine calls this instead of :meth:`complete` so a
+        completion is a pure function of ``(prompt, repeat)`` regardless of
+        thread schedule.  ``timeout_s`` is the remaining deadline budget for
+        this attempt; clients without a network ignore it.  The default
+        delegates to :meth:`complete`, for clients whose answer does not
+        depend on the repeat index.
         """
         return self.complete(prompt)
 
     @property
     def name(self) -> str:
         return type(self).__name__
-
-    def skip_delivery(self, prompt: str) -> None:
-        """Note that one delivery of ``prompt`` was served from a checkpoint.
-
-        The checkpoint-resume path calls this instead of :meth:`complete`
-        for journaled deliveries, so clients that track per-prompt repeat
-        indices (the simulators) stay in sync with an uninterrupted run.
-        Stateless clients ignore it.
-        """
-        return None
 
 
 class EchoClient(ChatClient):

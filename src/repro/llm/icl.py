@@ -12,11 +12,12 @@ the training data; each prompt is delivered five times.  Reported metrics:
 * **number unclassified** — total over all deliveries, with percentage;
 * **Fleiss' kappa** across the five deliveries of each prompt.
 
-The delivery loop is resilient: transient client failures are retried per an
-optional :class:`~repro.resilience.retry.RetryPolicy`; a permanently failed
-or malformed delivery degrades into an explicit ``failed`` outcome (scored
-as unclassified, tallied in ``ICLResult.n_failed``) instead of crashing the
-table; and an optional journal checkpoints every completed delivery so a
+Every delivery goes through one path, a
+:class:`~repro.delivery.engine.DeliveryEngine` (a one-backend, one-job
+engine over the client when the caller passes none).  A permanently failed
+delivery degrades into an explicit ``failed`` outcome (scored as
+unclassified, tallied in ``ICLResult.n_failed``) instead of crashing the
+table, and an optional journal checkpoints every completed delivery so a
 killed run resumes where it stopped (recorded in the run manifest).
 """
 
@@ -31,14 +32,13 @@ import numpy as np
 
 from repro.core.datasets import Dataset
 from repro.core.triples import LabeledTriple
-from repro.llm.client import ChatClient, ChatClientError
+from repro.llm.client import ChatClient
 from repro.llm.prompts import PromptVariant, render_prompt
 from repro.metrics.agreement import fleiss_kappa
 from repro.obs.manifest import set_context
 from repro.obs.progress import StageProgress
 from repro.obs.trace import get_tracer, span
 from repro.resilience.checkpoint import CheckpointAbort, Journal
-from repro.resilience.retry import CircuitOpenError, RetryError, RetryPolicy
 from repro.text.tokenizer import ChemTokenizer
 from repro.utils.rng import SeedLike, derive_rng
 
@@ -205,101 +205,6 @@ def _positive_metrics(gold: List[int], predicted: List[int]) -> Tuple[float, flo
     return precision, recall, f1
 
 
-def _deliver(client: ChatClient, prompt: str, retry: Optional[RetryPolicy]) -> str:
-    """One delivery -> parse outcome; client failures degrade to ``failed``."""
-    try:
-        if retry is None:
-            text = client.complete(prompt)
-        else:
-            text = retry.call(client.complete, prompt)
-    except (ChatClientError, RetryError, CircuitOpenError):
-        get_tracer().count("icl.client_failures")
-        return FAILED
-    return parse_response(text)
-
-
-def _run_with_engine(
-    engine: "DeliveryEngine",
-    prompts: Sequence[str],
-    completed: Dict[str, object],
-    config: ICLConfig,
-    journal_obj: Optional[Journal],
-    max_deliveries: Optional[int],
-    sp,
-    progress,
-) -> Tuple[List[List[str]], int, int, int]:
-    """The concurrent delivery path: fan out, journal per worker, merge.
-
-    Returns ``(responses, n_failed, n_resumed, delivered)`` with exactly the
-    same semantics as the sequential loop; requests the engine skipped for
-    the ``max_deliveries`` budget raise
-    :class:`~repro.resilience.checkpoint.CheckpointAbort` after in-flight
-    deliveries drained (and were journaled).
-    """
-    from repro.delivery.engine import DeliveryOutcome, DeliveryRequest
-
-    n_queries = len(prompts)
-    pending: List[DeliveryRequest] = []
-    n_resumed = 0
-    for repeat in range(config.n_repeats):
-        for q_index in range(n_queries):
-            key = f"{repeat}:{q_index}"
-            if key in completed:
-                n_resumed += 1
-            else:
-                pending.append(
-                    DeliveryRequest(
-                        key=key,
-                        prompt=prompts[q_index],
-                        repeat=repeat,
-                        index=repeat * n_queries + q_index,
-                    )
-                )
-    if n_resumed:
-        sp.incr("deliveries_resumed", n_resumed)
-
-    def value_of(outcome: DeliveryOutcome) -> str:
-        return parse_response(outcome.text) if outcome.ok else FAILED
-
-    def on_outcome(request: DeliveryRequest, outcome: DeliveryOutcome) -> None:
-        # Runs on the engine's worker threads: Journal.record is
-        # thread-safe and progress display tolerates racy increments.
-        if journal_obj is not None:
-            journal_obj.record(request.key, value_of(outcome))
-        progress.advance(1)
-
-    report = engine.run(
-        pending, on_outcome=on_outcome, max_deliveries=max_deliveries
-    )
-    if report.skipped:
-        raise CheckpointAbort(
-            f"delivery budget of {max_deliveries} reached "
-            f"({n_resumed} resumed, {report.delivered} delivered, "
-            f"{report.skipped} skipped)",
-            delivered=report.delivered,
-            journal_path=journal_obj.path if journal_obj else None,
-        )
-    sp.incr("deliveries", report.delivered + report.cache_hits)
-
-    responses: List[List[str]] = []
-    n_failed = 0
-    for repeat in range(config.n_repeats):
-        passes: List[str] = []
-        for q_index in range(n_queries):
-            key = f"{repeat}:{q_index}"
-            if key in completed:
-                value = completed[key]
-            else:
-                value = value_of(report.outcomes[key])
-            if value == FAILED:
-                n_failed += 1
-                sp.incr("deliveries_failed")
-                value = UNCLASSIFIED
-            passes.append(value)
-        responses.append(passes)
-    return responses, n_failed, n_resumed, report.delivered
-
-
 def run_icl_experiment(
     client: ChatClient,
     example_pool: Sequence[LabeledTriple],
@@ -307,36 +212,37 @@ def run_icl_experiment(
     variant: PromptVariant = PromptVariant.BASE,
     config: Optional[ICLConfig] = None,
     *,
-    retry: Optional[RetryPolicy] = None,
     journal: Optional[Union[Journal, str, Path]] = None,
     max_deliveries: Optional[int] = None,
     engine: Optional["DeliveryEngine"] = None,
 ) -> ICLResult:
     """Deliver every prompt ``n_repeats`` times and aggregate Table 5 metrics.
 
-    ``retry`` retries transient client failures per delivery; a delivery
-    that still fails (or raises a non-retryable
-    :class:`~repro.llm.client.ChatClientError`) is scored as unclassified
-    and counted in ``ICLResult.n_failed`` instead of aborting the run.
+    Every delivery goes through ``engine`` (a
+    :class:`~repro.delivery.engine.DeliveryEngine`) as a ``(prompt,
+    repeat)`` request.  Without one, a single-backend engine over
+    ``client`` is built for the call (one job, no cache, no hedging) and
+    closed afterwards.  Retries, rate limits and deadlines belong to the
+    engine's backends.  A delivery that ends ``failed`` / ``deadline`` /
+    ``shed`` is scored as unclassified and counted in ``ICLResult.n_failed``
+    instead of aborting the run.  Because backend completions are pure in
+    ``(prompt, repeat)``, the table does not depend on the engine's jobs,
+    backends or hedging.
 
     ``journal`` (a path or :class:`~repro.resilience.checkpoint.Journal`)
-    checkpoints every completed delivery; on restart, journaled deliveries
-    are skipped (the client is told via ``skip_delivery`` so per-prompt
-    repeat tracking stays aligned) and the resume is recorded in the run
-    manifest.  ``max_deliveries`` stops the run with
+    checkpoints every finished delivery from the engine's worker thread; on
+    restart, journaled deliveries are not requested again and the resume is
+    recorded in the run manifest.  ``max_deliveries`` stops the run with
     :class:`~repro.resilience.checkpoint.CheckpointAbort` after that many
     *new* deliveries — the controlled kill used to exercise resume.
-
-    ``engine`` (a :class:`~repro.delivery.engine.DeliveryEngine`) routes the
-    deliveries through the concurrent dispatch path instead of the
-    sequential loop: prompts fan out over the engine's worker pool and
-    backends, each finished delivery is journaled from its worker thread,
-    and typed failures (``failed`` / ``deadline`` / ``shed``) degrade into
-    the same ``failed`` outcome the sequential path records.  Because
-    backend completions are pure in ``(prompt, repeat)``, the resulting
-    table is byte-identical to the sequential one.  ``retry`` is ignored
-    with an engine — each backend carries its own policy.
     """
+    from repro.delivery import (
+        DeliveryBackend,
+        DeliveryEngine,
+        DeliveryOutcome,
+        DeliveryRequest,
+    )
+
     config = config or ICLConfig()
     if not queries:
         raise ValueError("no queries supplied")
@@ -392,70 +298,83 @@ def run_icl_experiment(
             )
             get_tracer().count("icl.resumes")
 
+    n_queries = len(queries)
+    pending: List[DeliveryRequest] = []
+    for repeat in range(config.n_repeats):
+        for q_index, prompt in enumerate(prompts):
+            key = f"{repeat}:{q_index}"
+            if key not in completed:
+                pending.append(
+                    DeliveryRequest(
+                        key=key,
+                        prompt=prompt,
+                        repeat=repeat,
+                        index=repeat * n_queries + q_index,
+                    )
+                )
+    n_resumed = config.n_repeats * n_queries - len(pending)
+
+    def value_of(outcome: DeliveryOutcome) -> str:
+        return parse_response(outcome.text) if outcome.ok else FAILED
+
+    owns_engine = engine is None
+    if engine is None:
+        engine = DeliveryEngine([DeliveryBackend(client.name, client)])
     gold = [query.label for query in queries]
     # responses[r][q] in {true, false, unclassified}
     responses: List[List[str]] = []
     n_failed = 0
-    n_resumed = 0
-    delivered = 0
     try:
         with span(
             "icl.experiment",
             model=client.name,
             variant=variant.value,
-            queries=len(queries),
+            queries=n_queries,
             repeats=config.n_repeats,
         ) as sp, StageProgress("icl.experiment", unit="deliveries") as progress:
             if completed:
                 sp.annotate(resumed=True)
-            if engine is not None:
-                responses, n_failed, n_resumed, delivered = _run_with_engine(
-                    engine,
-                    prompts,
-                    completed,
-                    config,
-                    journal_obj,
-                    max_deliveries,
-                    sp,
-                    progress,
+            if n_resumed:
+                sp.incr("deliveries_resumed", n_resumed)
+
+            def on_outcome(
+                request: DeliveryRequest, outcome: DeliveryOutcome
+            ) -> None:
+                # Runs on the engine's worker threads: Journal.record is
+                # thread-safe and progress display tolerates racy increments.
+                if journal_obj is not None:
+                    journal_obj.record(request.key, value_of(outcome))
+                progress.advance(1)
+
+            report = engine.run(
+                pending, on_outcome=on_outcome, max_deliveries=max_deliveries
+            )
+            if report.skipped:
+                raise CheckpointAbort(
+                    f"delivery budget of {max_deliveries} reached "
+                    f"({n_resumed} resumed, {report.delivered} delivered, "
+                    f"{report.skipped} skipped)",
+                    delivered=report.delivered,
+                    journal_path=journal_obj.path if journal_obj else None,
                 )
-            else:
-                for repeat in range(config.n_repeats):
-                    passes = []
-                    for q_index, prompt in enumerate(prompts):
-                        key = f"{repeat}:{q_index}"
-                        outcome = completed.get(key)
-                        if outcome is not None:
-                            client.skip_delivery(prompt)
-                            n_resumed += 1
-                            sp.incr("deliveries_resumed")
-                        else:
-                            if (
-                                max_deliveries is not None
-                                and delivered >= max_deliveries
-                            ):
-                                raise CheckpointAbort(
-                                    f"delivery budget of {max_deliveries} "
-                                    f"reached ({n_resumed} resumed, "
-                                    f"{delivered} delivered)",
-                                    delivered=delivered,
-                                    journal_path=(
-                                        journal_obj.path if journal_obj else None
-                                    ),
-                                )
-                            outcome = _deliver(client, prompt, retry)
-                            delivered += 1
-                            if journal_obj is not None:
-                                journal_obj.record(key, outcome)
-                            sp.incr("deliveries")
-                            progress.advance(1)
-                        if outcome == FAILED:
-                            n_failed += 1
-                            sp.incr("deliveries_failed")
-                            outcome = UNCLASSIFIED
-                        passes.append(outcome)
-                    responses.append(passes)
+            sp.incr("deliveries", report.delivered + report.cache_hits)
+            for repeat in range(config.n_repeats):
+                passes: List[str] = []
+                for q_index in range(n_queries):
+                    key = f"{repeat}:{q_index}"
+                    if key in completed:
+                        value = completed[key]
+                    else:
+                        value = value_of(report.outcomes[key])
+                    if value == FAILED:
+                        n_failed += 1
+                        sp.incr("deliveries_failed")
+                        value = UNCLASSIFIED
+                    passes.append(value)
+                responses.append(passes)
     finally:
+        if owns_engine:
+            engine.close()
         if owns_journal and journal_obj is not None:
             journal_obj.close()
 

@@ -286,8 +286,8 @@ def _icl_delivery() -> Tuple[Benchmark, dict]:
     workload and records it as ``sequential_reference_s`` in the workload
     section, so the committed baseline documents the engine's speedup:
     ``sequential_reference_s / stats.median_s`` is the throughput multiple.
-    The checksum covers (accuracy, unclassified), which the engine must
-    reproduce byte-identically to the sequential path.
+    The checksum covers (accuracy, unclassified), which the concurrent
+    engine must reproduce byte-identically to the one-job reference.
     """
     import time
 

@@ -168,7 +168,8 @@ def _run_request(
 ) -> None:
     """Send one request, retrying shed (503) responses with Retry-After.
 
-    The shed-retry wait honours the server's ``Retry-After`` hint through
+    The shed-retry wait honours the server's hint — the body's precise
+    ``retry_after_s``, else the whole-second ``Retry-After`` header — through
     the injected ``clock``, so tests drive the backoff with a virtual clock
     and the production path sleeps for real.  Every retried attempt is
     tallied in ``outcome.retries`` (reported, but outside the determinism
@@ -199,8 +200,8 @@ def _run_request(
             outcome.sheds += 1
             outcome.retries += 1
             retry_after = float(
-                response.getheader("Retry-After")
-                or payload.get("retry_after_s")
+                payload.get("retry_after_s")
+                or response.getheader("Retry-After")
                 or 0.01
             )
             clock.sleep(min(retry_after, RETRY_AFTER_CAP_S))

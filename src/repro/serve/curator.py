@@ -12,9 +12,7 @@ loosely:
   its batch neighbours or its batch index.  The vectorised paradigms (RF,
   LSTM, fine-tuned BERT) already classify each row independently; the ICL
   paradigm does *not* — its example-selection rng is derived from the batch
-  index and its simulated client counts deliveries per prompt — so
-  :class:`ICLCurator` re-anchors every triple at index 0 with a fresh
-  delivery history.
+  index — so :class:`ICLCurator` re-anchors every triple at index 0.
 * **Warm startup.**  :func:`build_curator` trains through the
   :class:`~repro.core.experiment.Lab`, so with ``artifact_dir`` (or
   ``$REPRO_ARTIFACTS``) configured every substrate — ontology, embeddings,
@@ -36,7 +34,6 @@ from repro.core.paradigms import (
     RandomForestParadigm,
 )
 from repro.core.triples import LabeledTriple
-from repro.delivery import DeliveryBackend, DeliveryConfig, DeliveryEngine
 from repro.llm.simulated import (
     BIOGPT_PROFILE,
     GPT4_PROFILE,
@@ -97,29 +94,17 @@ class ICLCurator(ParadigmCurator):
     """Batch-invariant wrapper around :class:`ICLParadigm`.
 
     The ICL paradigm's example-selection rng is derived from ``(seed,
-    batch_index, triple_text)`` and the simulated chat client varies its
-    answer with the per-prompt delivery count.  Served batches are arbitrary
-    coalitions of concurrent requests, so both sources of batch sensitivity
-    must be pinned: each triple is classified alone (batch index always 0)
-    against a client with a freshly reset delivery history.  The label for a
-    triple is then a pure function of the triple and the backend seed,
-    whatever traffic surrounded it.
+    batch_index, triple_text)``.  Served batches are arbitrary coalitions of
+    concurrent requests, so each triple is classified alone (batch index
+    always 0).  Every completion is delivered at repeat index 0, so the
+    label for a triple is a pure function of the triple and the backend
+    seed, whatever traffic surrounded it.
     """
-
-    def __init__(self, name: str, paradigm: ICLParadigm):
-        super().__init__(name, paradigm)
 
     def classify_batch(
         self, triples: Sequence[LabeledTriple]
     ) -> List[Optional[int]]:
-        labels: List[Optional[int]] = []
-        for triple in triples:
-            client = self.paradigm.client
-            reset = getattr(client, "reset", None)
-            if callable(reset):
-                reset()
-            labels.append(self.paradigm.classify([triple])[0])
-        return labels
+        return [self.paradigm.classify([triple])[0] for triple in triples]
 
 
 def build_curator(
@@ -161,16 +146,10 @@ def build_curator(
             client = SimulatedChatModel(
                 profile, truth_table(lab.dataset(task)), task, seed=seed
             )
-            # Served completions ride the delivery engine (single backend,
-            # no hedging): every delivery lands at repeat index 0 through
-            # ``complete_indexed``, which pins batch invariance exactly as
-            # the per-triple client reset used to, while picking up the
-            # engine's typed failure accounting.
-            engine = DeliveryEngine(
-                [DeliveryBackend(f"{backend}-0", client)],
-                DeliveryConfig(jobs=1, seed=seed),
-            )
-            paradigm = ICLParadigm(client, seed=seed, engine=engine).fit(
+            # Served completions ride the paradigm's one-backend delivery
+            # engine, so every delivery lands at repeat index 0 and failures
+            # are counted by the engine.
+            paradigm = ICLParadigm(client, seed=seed).fit(
                 lab.ml_split(task).train
             )
             return ICLCurator(backend, paradigm)

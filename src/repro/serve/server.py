@@ -7,7 +7,8 @@ schemas (:mod:`repro.serve.schemas`) and :class:`CurationService`:
   errors or a malformed ``Content-Length``, 413 on a body over
   :data:`MAX_BODY_BYTES` (both framing errors also close the connection),
   404 on unknown backends, 503 + ``Retry-After`` when the request was
-  shed, 500 (counted) on anything else.
+  shed (whole seconds, rounded up, as HTTP requires; the JSON body keeps
+  the precise ``retry_after_s``), 500 (counted) on anything else.
 * ``GET /healthz`` — liveness + the backend lineup.
 * ``GET /statz`` — request/shed/latency counters and per-backend breaker
   and batcher snapshots.
@@ -20,6 +21,7 @@ lives in ``/statz`` and the obs counters, not a text log.
 
 from __future__ import annotations
 
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
@@ -115,7 +117,7 @@ class CurationRequestHandler(BaseHTTPRequestHandler):
             self._send_json(
                 503,
                 error_response(503, str(error), retry_after_s=retry_after),
-                headers=(("Retry-After", f"{retry_after:.3f}"),),
+                headers=(("Retry-After", str(math.ceil(retry_after))),),
             )
         except Exception as error:
             get_tracer().count("serve.internal_errors")

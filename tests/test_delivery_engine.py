@@ -50,6 +50,7 @@ def icl_setup():
 
 
 def _sequential_result(icl_setup):
+    """The reference: no engine passed, so the default jobs=1 engine runs."""
     client = SimulatedChatModel(GPT35_PROFILE, icl_setup["truth"], 1, seed=0)
     return run_icl_experiment(
         client,
@@ -247,6 +248,8 @@ class TestResponseCaching:
 
 
 class TestEngineMatchesSequential:
+    """Concurrency, faults, hedging and caching against the jobs=1 default."""
+
     def test_concurrent_table_is_byte_identical(self, icl_setup):
         sequential = _sequential_result(icl_setup)
         with DeliveryEngine(

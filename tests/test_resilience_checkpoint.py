@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.core.datasets import train_test_split_9_1
+from repro.delivery import DeliveryBackend, DeliveryEngine
 from repro.llm.client import ChatClient, ChatClientError, EchoClient
 from repro.llm.icl import (
     ICLConfig,
@@ -35,18 +36,14 @@ def _clean_run_context():
 
 
 class CountingClient(ChatClient):
-    """Echoes 'True'; counts completions and skips separately."""
+    """Echoes 'True'; counts completions."""
 
     def __init__(self):
         self.completions = 0
-        self.skips = 0
 
     def complete(self, prompt: str) -> str:
         self.completions += 1
         return "True"
-
-    def skip_delivery(self, prompt: str) -> None:
-        self.skips += 1
 
 
 class FailingClient(ChatClient):
@@ -140,12 +137,11 @@ class TestICLCheckpointResume:
         journal = tmp_path / "icl.jsonl"
         first = CountingClient()
         self.run(first, task1_dataset, journal=journal)
-        assert first.completions == 90 and first.skips == 0
+        assert first.completions == 90
 
         second = CountingClient()
         result = self.run(second, task1_dataset, journal=journal)
         assert second.completions == 0
-        assert second.skips == 90
         assert result.n_resumed == 90
 
     def test_kill_and_resume_matches_uninterrupted(self, tmp_path, task1_dataset):
@@ -235,7 +231,10 @@ class TestGracefulDegradation:
         plan = FaultPlan.parse("timeout:0.1,http500:0.05,malformed:0.05", seed=4)
         faulty = FaultyClient(inner, plan)
         retry = RetryPolicy(base_delay=0.01, clock=FaultClock(), seed=0)
-        result = self.run(faulty, task1_dataset, retry=retry)
+        with DeliveryEngine(
+            [DeliveryBackend(faulty.name, faulty, retry=retry)]
+        ) as engine:
+            result = self.run(faulty, task1_dataset, engine=engine)
 
         assert sum(faulty.injected.values()) > 0  # faults actually fired
         assert result.n_failed == 0

@@ -62,22 +62,22 @@ class TestFaultPlanParse:
 class TestFaultPlanDraw:
     def test_deterministic_per_index(self):
         plan = FaultPlan.parse("timeout:0.3,http500:0.2", seed=5)
-        draws = [plan.draw(i) for i in range(200)]
-        assert draws == [plan.draw(i) for i in range(200)]
+        draws = [plan.draw_for("p", i, 0) for i in range(200)]
+        assert draws == [plan.draw_for("p", i, 0) for i in range(200)]
 
     def test_seed_changes_schedule(self):
-        a = [FaultPlan.parse("timeout:0.3", seed=1).draw(i) for i in range(200)]
-        b = [FaultPlan.parse("timeout:0.3", seed=2).draw(i) for i in range(200)]
+        a = [FaultPlan.parse("timeout:0.3", seed=1).draw_for(i) for i in range(200)]
+        b = [FaultPlan.parse("timeout:0.3", seed=2).draw_for(i) for i in range(200)]
         assert a != b
 
     def test_rates_roughly_respected(self):
         plan = FaultPlan.parse("timeout:0.25", seed=0)
-        hits = sum(1 for i in range(2000) if plan.draw(i) == "timeout")
+        hits = sum(1 for i in range(2000) if plan.draw_for(i) == "timeout")
         assert 0.18 < hits / 2000 < 0.32
 
     def test_rate_zero_never_fires(self):
         plan = FaultPlan.parse("timeout:0.0", seed=0)
-        assert all(plan.draw(i) is None for i in range(500))
+        assert all(plan.draw_for(i) is None for i in range(500))
 
 
 class TestFaultyClient:
@@ -161,13 +161,6 @@ class TestFaultyClient:
             return outcomes
 
         assert run() == run()
-
-    def test_skip_delivery_delegates(self):
-        seen = []
-        inner = EchoClient("True")
-        inner.skip_delivery = lambda p: seen.append(p)
-        FaultyClient(inner, FaultPlan.parse("timeout:0.1")).skip_delivery("p")
-        assert seen == ["p"]
 
     def test_error_faults_constant_matches_kinds(self):
         assert ERROR_FAULTS < set(FAULT_KINDS)

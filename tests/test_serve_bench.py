@@ -151,18 +151,26 @@ class TestRetryAccounting:
                 FakeResponse(
                     503, {"error": "shed", "retry_after_s": 0.02}, headers={}
                 ),
+                # The body's precise value wins over the whole-second header.
+                FakeResponse(
+                    503,
+                    {"error": "shed", "retry_after_s": 0.03},
+                    headers={"Retry-After": "1"},
+                ),
                 FakeResponse(200, {"labels": [1, None]}),
             ]
         )
         clock = FaultClock()
         outcome = _ClientOutcome()
         _run_request(SMALL, FakeConnection(), [], outcome, clock)
-        assert outcome.retries == 2
-        assert outcome.sheds == 2
+        assert outcome.retries == 3
+        assert outcome.sheds == 3
         assert outcome.failures == 0
         assert outcome.labels == [1, None]
-        # Both waits went through the injected clock, honouring Retry-After.
-        assert clock.sleeps == [pytest.approx(0.05), pytest.approx(0.02)]
+        # Every wait went through the injected clock, honouring the hint.
+        assert clock.sleeps == [
+            pytest.approx(0.05), pytest.approx(0.02), pytest.approx(0.03)
+        ]
 
     def test_retries_cap_out_as_a_failure(self):
         from repro.resilience.faults import FaultClock

@@ -3,6 +3,7 @@ same contract observed through HTTP: 503 + Retry-After, never silence."""
 
 import http.client
 import json
+import re
 import socket
 
 import pytest
@@ -243,9 +244,25 @@ class TestHttpContract:
                 "POST", "/v1/classify", {"triple": TRIPLE}
             )
             assert status == 503
-            assert headers["Retry-After"] == "2.500"
+            assert headers["Retry-After"] == "3"  # whole seconds, rounded up
             assert payload["status"] == 503
             assert payload["retry_after_s"] == 2.5
+        finally:
+            fixture.close()
+
+    @pytest.mark.parametrize("reset_timeout", [0.05, 1.0])
+    def test_retry_after_header_is_integer_seconds(self, reset_timeout):
+        # HTTP delay-seconds is an integer; the body keeps the precise value.
+        fixture = HttpFixture(failure_threshold=1, reset_timeout=reset_timeout)
+        try:
+            fixture.service.pool["stub"].breaker.record_failure()
+            status, headers, payload = fixture.request(
+                "POST", "/v1/classify", {"triple": TRIPLE}
+            )
+            assert status == 503
+            assert re.fullmatch(r"\d+", headers["Retry-After"])
+            assert int(headers["Retry-After"]) >= payload["retry_after_s"]
+            assert payload["retry_after_s"] == reset_timeout
         finally:
             fixture.close()
 
