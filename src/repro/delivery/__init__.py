@@ -11,10 +11,10 @@ dispatch layer between the experiment loops and the chat clients:
   to a second healthy backend after a seeded threshold;
 * each backend sits behind the existing
   :class:`~repro.resilience.retry.RetryPolicy` +
-  :class:`~repro.resilience.retry.CircuitBreaker`, plus a per-backend
-  :class:`~repro.delivery.ratelimit.TokenBucket` and a per-request
-  :class:`~repro.delivery.deadline.DeadlineBudget` — all pure functions of
-  an injectable :class:`~repro.resilience.retry.Clock`;
+  :class:`~repro.resilience.retry.CircuitBreaker` (one
+  :meth:`~repro.resilience.retry.CircuitBreaker.call` per attempt) and a
+  per-request :class:`~repro.delivery.deadline.DeadlineBudget` — all pure
+  functions of an injectable :class:`~repro.resilience.retry.Clock`;
 * deadline-exceeded and all-backends-shedding degrade into *typed*
   :class:`~repro.delivery.engine.DeliveryOutcome` statuses that feed the ICL
   loop's existing ``failed`` accounting and the resume
@@ -42,7 +42,6 @@ from repro.delivery.engine import (
     DeliveryReport,
     DeliveryRequest,
 )
-from repro.delivery.ratelimit import TokenBucket
 
 __all__ = [
     "DeliveryBackend",
@@ -57,5 +56,4 @@ __all__ = [
     "DeliveryOutcome",
     "DeliveryReport",
     "DeliveryRequest",
-    "TokenBucket",
 ]

@@ -8,10 +8,15 @@ HTTP endpoint) wrapped in the protections a production path needs:
   transient failures per attempt;
 * an optional :class:`~repro.resilience.retry.CircuitBreaker` cutting off a
   persistently failing client (an open breaker marks the backend unhealthy,
-  so the engine routes and hedges around it);
-* an optional :class:`~repro.delivery.ratelimit.TokenBucket` shaping the
-  request rate, with waits bounded by the request's
-  :class:`~repro.delivery.deadline.DeadlineBudget`.
+  so the engine routes and hedges around it); every attempt goes through
+  :meth:`~repro.resilience.retry.CircuitBreaker.call`;
+* the request's :class:`~repro.delivery.deadline.DeadlineBudget`, checked
+  before each attempt and passed on as the attempt's socket timeout.
+
+This is the only place a chat client gets these protections: wrap an
+:class:`~repro.llm.client.HTTPChatClient` in a :class:`DeliveryBackend` to
+retry, break and bound it.  With neither retry nor breaker a delivery is a
+direct call of the client.
 
 Deliveries go through :meth:`~repro.llm.client.ChatClient.complete_indexed`
 with the repeat index made explicit, so a backend's answer is pure in
@@ -28,15 +33,14 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.delivery.deadline import DeadlineBudget, DeadlineExceeded
-from repro.delivery.ratelimit import TokenBucket
+from repro.delivery.deadline import DeadlineBudget
 from repro.llm.client import ChatClient
 from repro.resilience.retry import (
     CircuitBreaker,
-    CircuitOpenError,
     Clock,
     RetryPolicy,
     SYSTEM_CLOCK,
+    ShedError,
     is_retryable,
 )
 from repro.utils.rng import derive_rng, stable_digest
@@ -97,7 +101,7 @@ class LatencyClient(ChatClient):
 
 
 class DeliveryBackend:
-    """One named backend: client + retry + breaker + rate limit."""
+    """One named backend: client + retry + breaker + deadline."""
 
     def __init__(
         self,
@@ -105,7 +109,6 @@ class DeliveryBackend:
         client: ChatClient,
         retry: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
-        bucket: Optional[TokenBucket] = None,
         clock: Optional[Clock] = None,
     ):
         if not name:
@@ -114,7 +117,6 @@ class DeliveryBackend:
         self.client = client
         self.retry = retry
         self.breaker = breaker
-        self.bucket = bucket
         self.clock = clock or SYSTEM_CLOCK
 
     def healthy(self) -> bool:
@@ -127,20 +129,9 @@ class DeliveryBackend:
             return True
         try:
             self.breaker.before_call()
-        except CircuitOpenError:
+        except ShedError:
             return False
         return True
-
-    def _acquire_slot(self, deadline: Optional[DeadlineBudget]) -> None:
-        """Wait for a rate-limit token, never past the deadline budget."""
-        if self.bucket is None:
-            return
-        max_wait = deadline.remaining() if deadline is not None else None
-        if not self.bucket.acquire(max_wait_s=max_wait):
-            raise DeadlineExceeded(
-                f"backend {self.name!r} rate limit leaves no budget "
-                f"for this delivery"
-            )
 
     def deliver(
         self,
@@ -153,11 +144,10 @@ class DeliveryBackend:
         Raises whatever the stack raises —
         :class:`~repro.llm.client.ChatClientError`,
         :class:`~repro.resilience.retry.RetryError`,
-        :class:`~repro.resilience.retry.CircuitOpenError`, or
+        :class:`~repro.resilience.retry.ShedError`, or
         :class:`~repro.delivery.deadline.DeadlineExceeded` — for the engine
         to map into a typed outcome.
         """
-        self._acquire_slot(deadline)
 
         def attempt() -> str:
             if deadline is not None:
@@ -198,8 +188,6 @@ def simulated_backends(
     fault_plan_text: Optional[str] = None,
     fault_seed: int = 0,
     retry: Optional[RetryPolicy] = None,
-    rate: Optional[float] = None,
-    burst: float = 8.0,
     clock: Optional[Clock] = None,
 ) -> List["DeliveryBackend"]:
     """N interchangeable simulated replicas of one behaviour profile.
@@ -231,16 +219,9 @@ def simulated_backends(
                 seed=seed + index,
                 clock=clock,
             )
-        bucket = (
-            TokenBucket(rate, burst=burst, clock=clock) if rate else None
-        )
         backends.append(
             DeliveryBackend(
-                f"{profile.name}-{index}",
-                client,
-                retry=retry,
-                bucket=bucket,
-                clock=clock,
+                f"{profile.name}-{index}", client, retry=retry, clock=clock
             )
         )
     return backends

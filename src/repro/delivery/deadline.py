@@ -3,10 +3,10 @@
 A delivery that retries for minutes is worse than one that fails fast: the
 caller (a benchmark wave, a serving request) has long since moved on.  A
 :class:`DeadlineBudget` is started when a delivery begins and consulted at
-every expensive step — before each attempt, before each rate-limit wait,
-and as the socket timeout of the HTTP client — so the whole pipeline
-degrades into one typed :class:`DeadlineExceeded` instead of burning the
-full retry schedule after the budget is already gone.
+every expensive step — before each attempt and as the socket timeout of
+the HTTP client — so the whole pipeline degrades into one typed
+:class:`DeadlineExceeded` instead of burning the full retry schedule after
+the budget is already gone.
 
 Time comes from the injectable :class:`~repro.resilience.retry.Clock`, so
 deadline policy is testable on a virtual clock without real waiting.

@@ -39,7 +39,7 @@ from repro.delivery.cache import ResponseCache
 from repro.delivery.deadline import DeadlineBudget, DeadlineExceeded
 from repro.llm.client import ChatClientError
 from repro.obs.trace import get_tracer, span
-from repro.resilience.retry import CircuitOpenError, RetryError
+from repro.resilience.retry import RetryError, ShedError
 from repro.utils.rng import derive_rng, stable_digest
 
 #: Typed delivery statuses.
@@ -268,7 +268,7 @@ class DeliveryEngine:
             return DeliveryOutcome(
                 key=request.key, status=DEADLINE, error=str(error)
             )
-        except CircuitOpenError as error:
+        except ShedError as error:
             self._count("shed")
             return DeliveryOutcome(key=request.key, status=SHED, error=str(error))
         except (ChatClientError, RetryError) as error:  # statcheck: ignore[RES001] - _count records delivery.failed
@@ -337,7 +337,7 @@ class DeliveryEngine:
                 except (  # statcheck: ignore[RES001] - losers are discarded by design; re-raised below when all fail
                     ChatClientError,
                     RetryError,
-                    CircuitOpenError,
+                    ShedError,
                     DeadlineExceeded,
                 ) as error:
                     last_error = error

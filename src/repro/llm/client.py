@@ -7,9 +7,16 @@ endpoint for users with API access, reproducing the paper's original setup
 
 Every failure of the HTTP path surfaces as a typed :class:`ChatClientError`
 whose ``retryable`` flag drives :class:`repro.resilience.retry.RetryPolicy`;
-raw ``urllib`` / ``json`` / ``KeyError`` exceptions never leak.  Pass a
-``retry`` policy (and optionally a ``breaker``) to make ``complete`` retry
-transient failures with exponential backoff.
+raw ``urllib`` / ``json`` / ``KeyError`` exceptions never leak.  A client
+makes exactly one request per call; retries, circuit breaking and deadline
+budgets come from wrapping it in a
+:class:`~repro.delivery.backends.DeliveryBackend`::
+
+    backend = DeliveryBackend(
+        "gpt-4", HTTPChatClient(api_key), retry=RetryPolicy(),
+        breaker=CircuitBreaker(),
+    )
+    backend.deliver(prompt, repeat, DeadlineBudget(30.0))
 """
 
 from __future__ import annotations
@@ -18,12 +25,9 @@ import abc
 import json
 import urllib.error
 import urllib.request
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.obs.trace import get_tracer, span
-
-if TYPE_CHECKING:  # avoid a runtime cycle: resilience.faults subclasses ChatClient
-    from repro.resilience.retry import CircuitBreaker, Clock, RetryPolicy
 
 
 class ChatClientError(RuntimeError):
@@ -104,9 +108,6 @@ class HTTPChatClient(ChatClient):
         endpoint: str = "https://api.openai.com/v1/chat/completions",
         temperature: Optional[float] = None,
         timeout: float = 60.0,
-        retry: Optional["RetryPolicy"] = None,
-        breaker: Optional["CircuitBreaker"] = None,
-        clock: Optional["Clock"] = None,
     ):
         if not api_key:
             raise ValueError("api_key must be provided")
@@ -115,71 +116,25 @@ class HTTPChatClient(ChatClient):
         self.endpoint = endpoint
         self.temperature = temperature
         self.timeout = timeout
-        self.retry = retry
-        self.breaker = breaker
-        if clock is None:
-            from repro.resilience.retry import SYSTEM_CLOCK
-
-            clock = SYSTEM_CLOCK
-        self.clock = clock
 
     @property
     def name(self) -> str:
         return self.model
 
-    def complete(self, prompt: str, *, deadline_s: Optional[float] = None) -> str:
-        """One completion, honouring a per-request deadline end to end.
-
-        ``deadline_s`` bounds the *whole* delivery — every attempt's socket
-        timeout is the remaining budget, and once the budget is spent no
-        further retry is attempted (a late transient error would otherwise
-        burn the full backoff schedule to no purpose).
-        """
-        expires = (
-            self.clock.monotonic() + deadline_s if deadline_s is not None else None
-        )
-
-        def attempt() -> str:
-            return self._complete_once(prompt, timeout_s=self._remaining(expires))
-
-        if self.retry is not None:
-
-            def classify(error: BaseException) -> bool:
-                from repro.resilience.retry import is_retryable
-
-                if expires is not None and self.clock.monotonic() >= expires:
-                    return False  # budget spent: every error is final
-                return is_retryable(error)
-
-            return self.retry.call(attempt, classify=classify, breaker=self.breaker)
-        if self.breaker is not None:
-            return self.breaker.call(attempt)
-        return attempt()
+    def complete(self, prompt: str) -> str:
+        """One completion: a single request, capped at ``timeout`` seconds."""
+        return self._complete_once(prompt)
 
     def complete_indexed(
         self, prompt: str, repeat: int, *, timeout_s: Optional[float] = None
     ) -> str:
-        """Engine entry point: a single stateless attempt.
+        """Engine entry point: one request, bounded by the deadline budget.
 
-        The delivery engine owns retries, breakers, and deadlines at the
-        backend layer, so this deliberately bypasses the client's own
-        ``retry``/``breaker`` — stacking two retry schedules would multiply
-        attempts.  The HTTP API is stateless in the repeat index.
+        ``timeout_s`` (the remaining budget) becomes the socket timeout,
+        still capped at ``timeout``.  The HTTP API is stateless in the
+        repeat index.
         """
         return self._complete_once(prompt, timeout_s=timeout_s)
-
-    def _remaining(self, expires: Optional[float]) -> Optional[float]:
-        """Seconds left until ``expires``; raises once the budget is gone."""
-        if expires is None:
-            return None
-        remaining = expires - self.clock.monotonic()
-        if remaining <= 0:
-            raise ChatClientError(
-                "deadline exhausted before the request was issued",
-                retryable=False,
-                kind="timeout",
-            )
-        return remaining
 
     def _complete_once(
         self, prompt: str, timeout_s: Optional[float] = None

@@ -4,7 +4,8 @@ Four small layers, all optional at runtime and free when disabled:
 
 * :mod:`repro.obs.trace` — nested span tracing (``with span("bert.pretrain")``)
   with a thread-safe in-process registry;
-* :mod:`repro.obs.metrics` — counters, timers, peak-RSS / tracemalloc sampling;
+* :mod:`repro.obs.metrics` — latency percentiles, peak-RSS / tracemalloc
+  sampling;
 * :mod:`repro.obs.manifest` — run-manifest JSON artefacts written next to
   benchmark tables (environment + config + span tree + counters + memory);
 * :mod:`repro.obs.progress` — opt-in stderr progress lines with rates.
@@ -36,13 +37,10 @@ from repro.obs.manifest import (
     write_manifest,
 )
 from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Timer,
     memory_metrics,
     peak_rss_bytes,
     peak_rss_mb,
-    tracemalloc_delta,
+    percentile,
     tracemalloc_metrics,
 )
 from repro.obs.progress import (
@@ -97,13 +95,10 @@ __all__ = [
     "reset",
     "configure_from_env",
     # metrics
-    "Counter",
-    "Gauge",
-    "Timer",
+    "percentile",
     "peak_rss_bytes",
     "peak_rss_mb",
     "memory_metrics",
-    "tracemalloc_delta",
     "tracemalloc_metrics",
     # manifest
     "MANIFEST_FORMAT",

@@ -1,19 +1,15 @@
-"""Cheap metric primitives: counters, timers, and memory sampling.
+"""Cheap metric primitives: latency percentiles and memory sampling.
 
-These are the standalone building blocks the span tracer and progress
-emitter are built from; they are also usable directly in ad-hoc profiling
-(``with Timer() as t: ...; t.total``).  Memory sampling uses ``resource``
-(always available on POSIX) for peak RSS and, optionally, ``tracemalloc``
-for allocation deltas around a block.
+:func:`percentile` summarises latency samples for the serving stats and
+the timing harness alike.  Memory sampling uses ``resource`` (always
+available on POSIX) for peak RSS and, optionally, ``tracemalloc`` for the
+python-allocator view attached to run manifests.
 """
 
 from __future__ import annotations
 
-import contextlib
 import sys
-import threading
-import time
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional, Sequence
 
 try:  # POSIX only; absent on some platforms (e.g. Windows)
     import resource
@@ -26,76 +22,18 @@ except ImportError:  # pragma: no cover - always present on CPython
     tracemalloc = None  # type: ignore[assignment]
 
 
-class Counter:
-    """A thread-safe monotonically increasing counter."""
-
-    __slots__ = ("name", "_value", "_lock")
-
-    def __init__(self, name: str = "counter"):
-        self.name = name
-        self._value = 0.0
-        self._lock = threading.Lock()
-
-    def incr(self, amount: float = 1) -> float:
-        with self._lock:
-            self._value += amount
-            return self._value
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def reset(self) -> None:
-        with self._lock:
-            self._value = 0.0
-
-
-class Gauge:
-    """A last-write-wins point-in-time value."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str = "gauge", value: float = 0.0):
-        self.name = name
-        self.value = value
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-
-class Timer:
-    """A re-enterable accumulating timer.
-
-    Each ``with`` block adds one lap; ``total``, ``count`` and ``mean``
-    aggregate across laps, so one Timer can wrap every iteration of a loop.
-    """
-
-    __slots__ = ("name", "total", "count", "last", "_start")
-
-    def __init__(self, name: str = "timer"):
-        self.name = name
-        self.total = 0.0
-        self.count = 0
-        self.last = 0.0
-        self._start = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.last = time.perf_counter() - self._start
-        self.total += self.last
-        self.count += 1
-        return False
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def rate(self, units: float) -> float:
-        """``units`` per second over the accumulated total time."""
-        return units / self.total if self.total > 0 else 0.0
+def percentile(samples: Sequence[float], q: float) -> float:
+    """Linear-interpolated percentile of ``samples`` (``q`` in [0, 100])."""
+    if not samples:
+        raise ValueError("percentile of no samples")
+    ordered = sorted(samples)
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = (q / 100.0) * (len(ordered) - 1)
+    low = int(rank)
+    high = min(low + 1, len(ordered) - 1)
+    fraction = rank - low
+    return ordered[low] + (ordered[high] - ordered[low]) * fraction
 
 
 def peak_rss_bytes() -> Optional[int]:
@@ -163,53 +101,10 @@ def memory_metrics() -> Dict[str, object]:
     }
 
 
-class TracemallocDelta:
-    """Result holder for :func:`tracemalloc_delta` (filled on block exit)."""
-
-    __slots__ = ("delta_bytes", "peak_bytes", "available")
-
-    def __init__(self):
-        self.delta_bytes: Optional[int] = None
-        self.peak_bytes: Optional[int] = None
-        self.available = tracemalloc is not None
-
-
-@contextlib.contextmanager
-def tracemalloc_delta() -> Iterator[TracemallocDelta]:
-    """Measure python-level allocation delta across a block.
-
-    Starts ``tracemalloc`` if it is not already tracing (and stops it again
-    on exit in that case).  The yielded holder's ``delta_bytes`` is the net
-    allocated bytes and ``peak_bytes`` the traced peak inside the block.
-    Tracing allocations is expensive — keep this off hot paths.
-    """
-    holder = TracemallocDelta()
-    if tracemalloc is None:  # pragma: no cover - always present on CPython
-        yield holder
-        return
-    started_here = not tracemalloc.is_tracing()
-    if started_here:
-        tracemalloc.start()
-    before, _ = tracemalloc.get_traced_memory()
-    tracemalloc.reset_peak()
-    try:
-        yield holder
-    finally:
-        after, peak = tracemalloc.get_traced_memory()
-        holder.delta_bytes = after - before
-        holder.peak_bytes = peak
-        if started_here:
-            tracemalloc.stop()
-
-
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Timer",
+    "percentile",
     "peak_rss_bytes",
     "peak_rss_mb",
     "tracemalloc_metrics",
     "memory_metrics",
-    "TracemallocDelta",
-    "tracemalloc_delta",
 ]

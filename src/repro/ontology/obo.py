@@ -4,15 +4,18 @@ ChEBI is distributed in OBO format.  This module round-trips the subset the
 experiments use: ``[Term]`` stanzas with ``id``, ``name``, ``def``,
 ``synonym``, ``subset`` (mapped to sub-ontologies), ``is_a`` lines and
 ``relationship: <type> <target>`` lines.  Users with a real ChEBI download can
-load it with :func:`load_obo` and run the full benchmark on genuine data; the
-writer exists so the synthetic ontology can be exported, inspected, and
+load it with :func:`load_obo` — plain or gzipped, as ChEBI ships
+``chebi.obo.gz`` — and run the full benchmark on genuine data; the writer
+exists so the synthetic ontology can be exported, inspected, and
 round-tripped in tests.
 """
 
 from __future__ import annotations
 
+import gzip
 import io
 import re
+import zlib
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, TextIO, Tuple, Union
 
@@ -64,14 +67,27 @@ def _strip_comment(line: str) -> str:
 def load_obo(source: Union[str, Path, TextIO], name: str = "obo") -> Ontology:
     """Parse an OBO document into an :class:`Ontology`.
 
-    ``source`` may be a path or an open text stream.  Statements referencing
-    terms that are never defined are rejected; ``is_obsolete: true`` terms are
-    skipped (ChEBI keeps obsolete stubs).  The resulting ``is_a`` graph is
-    verified acyclic.
+    ``source`` may be a path or an open text stream.  A path whose file
+    starts with the gzip magic bytes is decompressed on the fly; bytes that
+    are not UTF-8, or a corrupt gzip stream, raise :class:`OboParseError`.
+    Statements referencing terms that are never defined are rejected;
+    ``is_obsolete: true`` terms are skipped (ChEBI keeps obsolete stubs).
+    The resulting ``is_a`` graph is verified acyclic.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            return load_obo(handle, name=name)
+        with open(source, "rb") as probe:
+            opener = gzip.open if probe.read(2) == b"\x1f\x8b" else open
+        with opener(source, "rt", encoding="utf-8") as handle:
+            try:
+                return load_obo(handle, name=name)
+            except UnicodeDecodeError as error:
+                raise OboParseError(
+                    f"{source}: not UTF-8 text ({error})"
+                ) from error
+            except (EOFError, gzip.BadGzipFile, zlib.error) as error:
+                raise OboParseError(
+                    f"{source}: corrupt gzip stream ({error})"
+                ) from error
 
     terms: List[dict] = []
     current: Optional[dict] = None

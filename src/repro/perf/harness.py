@@ -24,6 +24,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
+from repro.obs.metrics import percentile
 from repro.utils.rng import stable_digest
 
 
@@ -53,20 +54,6 @@ FULL = Protocol(warmup=2, repeats=7)
 
 #: The abbreviated protocol behind ``--quick`` (CI smoke timing).
 QUICK = Protocol(warmup=1, repeats=3)
-
-
-def percentile(samples: Sequence[float], q: float) -> float:
-    """Linear-interpolated percentile of ``samples`` (``q`` in [0, 100])."""
-    if not samples:
-        raise PerfError("percentile of no samples")
-    ordered = sorted(samples)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (q / 100.0) * (len(ordered) - 1)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    fraction = rank - low
-    return ordered[low] + (ordered[high] - ordered[low]) * fraction
 
 
 @dataclass(frozen=True)

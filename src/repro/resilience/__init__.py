@@ -4,7 +4,9 @@ Three layers, composable and deterministic:
 
 * :mod:`repro.resilience.retry` — :class:`RetryPolicy` (exponential backoff
   with seeded jitter) and :class:`CircuitBreaker`, both on injectable
-  clocks, with attempts/retries/give-ups counted through :mod:`repro.obs`;
+  clocks, with attempts/retries/give-ups counted through :mod:`repro.obs`.
+  :meth:`CircuitBreaker.call` is the one guarded-call primitive that serving
+  and delivery share, and :class:`ShedError` the one refusal type;
 * :mod:`repro.resilience.faults` — :class:`FaultyClient` + :class:`FaultPlan`
   inject timeouts, 429/500s, malformed bodies and corrupted completions at
   deterministic rates, so every retry path is testable offline;
@@ -28,10 +30,10 @@ from repro.resilience.faults import (
 from repro.resilience.retry import (
     SYSTEM_CLOCK,
     CircuitBreaker,
-    CircuitOpenError,
     Clock,
     RetryError,
     RetryPolicy,
+    ShedError,
     is_retryable,
 )
 
@@ -41,7 +43,7 @@ __all__ = [
     "SYSTEM_CLOCK",
     "is_retryable",
     "RetryError",
-    "CircuitOpenError",
+    "ShedError",
     "CircuitBreaker",
     "RetryPolicy",
     # faults

@@ -12,6 +12,12 @@ see :class:`repro.resilience.faults.FaultClock`.  Jitter is deterministic,
 derived from the policy seed via :func:`repro.utils.rng.derive_rng`, so a
 given (seed, key, attempt) always produces the same delay.
 
+:meth:`CircuitBreaker.call` is the one gate -> call -> record sequence in
+the apparatus: :class:`RetryPolicy` runs each attempt through it, and so do
+the serving backends and the delivery backends.  Every refusal — an open
+breaker here, a full micro-batch queue in :mod:`repro.serve` — is one typed
+:class:`ShedError` carrying an advisory ``retry_after_s``.
+
 Every attempt, retry, and give-up is counted through :mod:`repro.obs`
 (``retry.attempts`` / ``retry.retries`` / ``retry.giveups``), and each
 backoff wait emits a ``retry.backoff`` span, so run manifests account for
@@ -23,6 +29,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 from repro.obs.trace import get_tracer, span
@@ -66,21 +73,32 @@ class RetryError(RuntimeError):
         self.last_error = last_error
 
 
-class CircuitOpenError(RuntimeError):
-    """The circuit breaker is open: calls are refused without being tried."""
+class ShedError(RuntimeError):
+    """A call was refused to protect its backend, without being tried.
 
-    #: An open circuit is not cured by immediate retries.
+    ``reason`` names the guard that refused (``breaker-open``,
+    ``queue-full``); ``retry_after_s`` is the advisory wait before trying
+    again, which the HTTP layer sends as ``Retry-After``.  A refusal is not
+    a backend failure, so breakers never record one.
+    """
+
+    #: Load- or cool-down-dependent; immediate retries only add load.
     retryable = False
+
+    def __init__(self, message: str, *, reason: str, retry_after_s: float):
+        super().__init__(message)
+        self.reason = reason
+        self.retry_after_s = retry_after_s
 
 
 class CircuitBreaker:
     """Trip after consecutive failures; probe again after a cool-down.
 
     Closed (normal) -> open after ``failure_threshold`` consecutive
-    failures; while open, :meth:`before_call` raises
-    :class:`CircuitOpenError`.  After ``reset_timeout`` seconds the next
-    call is allowed through (half-open): success closes the circuit, another
-    failure re-opens it immediately.  Thread-safe.
+    failures; while open, :meth:`before_call` raises :class:`ShedError`
+    advertising the remaining cool-down.  After ``reset_timeout`` seconds
+    the next call is allowed through (half-open): success closes the
+    circuit, another failure re-opens it immediately.  Thread-safe.
     """
 
     CLOSED, OPEN, HALF_OPEN = "closed", "open", "half-open"
@@ -109,7 +127,7 @@ class CircuitBreaker:
             return self._state
 
     def before_call(self) -> None:
-        """Gate a call; raises :class:`CircuitOpenError` while open."""
+        """Gate a call; raises :class:`ShedError` while open."""
         with self._lock:
             if self._state != self.OPEN:
                 return
@@ -117,9 +135,12 @@ class CircuitBreaker:
             if waited >= self.reset_timeout:
                 self._state = self.HALF_OPEN
                 return
-            raise CircuitOpenError(
+            remaining = self.reset_timeout - waited
+            raise ShedError(
                 f"circuit open after {self._failures} consecutive failures; "
-                f"{self.reset_timeout - waited:.1f}s until half-open probe"
+                f"{remaining:.1f}s until half-open probe",
+                reason="breaker-open",
+                retry_after_s=remaining,
             )
 
     def record_success(self) -> None:
@@ -141,10 +162,16 @@ class CircuitBreaker:
                 self._opened_at = self.clock.monotonic()
 
     def call(self, fn: Callable, *args, **kwargs):
-        """Run ``fn`` through the breaker (gate + success/failure record)."""
+        """Run ``fn`` through the breaker (gate + success/failure record).
+
+        A :class:`ShedError` raised by ``fn`` itself (a downstream guard
+        refusing) propagates without being recorded as a failure.
+        """
         self.before_call()
         try:
             result = fn(*args, **kwargs)
+        except ShedError:
+            raise
         except Exception:
             self.record_failure()
             raise
@@ -203,21 +230,27 @@ class RetryPolicy:
 
         Non-retryable errors (per ``classify``, default :func:`is_retryable`)
         propagate immediately; exhausted retries raise :class:`RetryError`
-        wrapping the last failure.  ``breaker`` gates every attempt; its
-        :class:`CircuitOpenError` propagates without consuming attempts.
+        wrapping the last failure.  ``breaker`` gates every attempt through
+        :meth:`CircuitBreaker.call`; a :class:`ShedError` propagates without
+        consuming attempts.
         """
         classify = classify or is_retryable
         clock = self.clock or SYSTEM_CLOCK
         tracer = get_tracer()
-        for attempt in range(self.max_attempts):
-            if breaker is not None:
-                breaker.before_call()
+
+        def attempt_once():
             tracer.count("retry.attempts")
+            return fn(*args, **kwargs)
+
+        guarded = (
+            attempt_once if breaker is None else partial(breaker.call, attempt_once)
+        )
+        for attempt in range(self.max_attempts):
             try:
-                result = fn(*args, **kwargs)
+                return guarded()
+            except ShedError:
+                raise
             except Exception as error:
-                if breaker is not None:
-                    breaker.record_failure()
                 if not classify(error):
                     raise
                 if attempt + 1 >= self.max_attempts:
@@ -236,10 +269,6 @@ class RetryPolicy:
                     error=type(error).__name__,
                 ):
                     clock.sleep(wait)
-            else:
-                if breaker is not None:
-                    breaker.record_success()
-                return result
         raise AssertionError("unreachable")  # pragma: no cover
 
 
@@ -248,7 +277,7 @@ __all__ = [
     "SYSTEM_CLOCK",
     "is_retryable",
     "RetryError",
-    "CircuitOpenError",
+    "ShedError",
     "CircuitBreaker",
     "RetryPolicy",
 ]

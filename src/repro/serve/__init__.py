@@ -4,7 +4,10 @@ The paper's paradigms answer "is this ChEBI triple plausible?" offline;
 this package stands them up behind a stdlib HTTP API with the production
 machinery real curation services need — micro-batching, circuit breakers,
 bounded-queue load-shedding, and span/counter observability — all composed
-from the platform's existing resilience, obs, and perf layers.
+from the platform's existing resilience and obs layers.  Each backend's
+request path is one :meth:`~repro.resilience.retry.CircuitBreaker.call`,
+and every refusal (open breaker, full queue) is one
+:class:`~repro.resilience.retry.ShedError`, re-exported here.
 
 Modules: :mod:`schemas` (wire format), :mod:`curator` (batch-invariant
 paradigm adapters), :mod:`batcher` (request coalescing), :mod:`service`
@@ -12,7 +15,8 @@ paradigm adapters), :mod:`batcher` (request coalescing), :mod:`service`
 :mod:`bench` (the ``repro bench serve`` traffic harness).
 """
 
-from repro.serve.batcher import BatchItem, MicroBatcher, QueueFullError
+from repro.resilience.retry import ShedError
+from repro.serve.batcher import BatchItem, MicroBatcher
 from repro.serve.curator import (
     DEFAULT_BACKENDS,
     Curator,
@@ -31,14 +35,13 @@ from repro.serve.schemas import (
     triple_payload,
 )
 from repro.serve.server import CurationHTTPServer, start_server, stop_server
-from repro.serve.service import Backend, CurationService, ServeStats, ShedError
+from repro.serve.service import Backend, CurationService, ServeStats
 
 __all__ = [
     "SERVE_FORMAT",
     "DEFAULT_BACKENDS",
     "SchemaError",
     "ShedError",
-    "QueueFullError",
     "BatchItem",
     "MicroBatcher",
     "Curator",

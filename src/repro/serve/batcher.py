@@ -17,9 +17,10 @@ clock deterministically:
   (the latency ceiling a lone request pays hoping for company).  ``0``
   disables coalescing: every request dispatches alone, immediately.
 
-The queue is bounded: :meth:`submit` raises :class:`QueueFullError` instead
-of queueing unboundedly, which the service layer converts into an explicit
-503 + ``Retry-After`` (load-shedding, not collapse).
+The queue is bounded: :meth:`submit` raises
+:class:`~repro.resilience.retry.ShedError` (``reason="queue-full"``) instead
+of queueing unboundedly, which the HTTP layer turns into an explicit 503 +
+``Retry-After`` (load-shedding, not collapse).
 
 The batching *policy* is a pure, non-blocking function of (queue, clock) —
 :meth:`poll` — and the worker loop is a thin blocking shell around it, so
@@ -33,17 +34,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.triples import LabeledTriple
 from repro.obs.trace import get_tracer, span
-from repro.resilience.retry import Clock, SYSTEM_CLOCK
+from repro.resilience.retry import Clock, SYSTEM_CLOCK, ShedError
 
 #: Labels produced for one request's triples (None = backend abstained).
 BatchHandler = Callable[[Sequence[LabeledTriple]], Sequence[Optional[int]]]
-
-
-class QueueFullError(RuntimeError):
-    """The batcher's bounded queue is full: the request must be shed."""
-
-    #: Shedding is load-dependent; immediate retries only add load.
-    retryable = False
 
 
 class BatchItem:
@@ -112,15 +106,18 @@ class MicroBatcher:
     # -- submission -----------------------------------------------------------
 
     def submit(self, triples: Sequence[LabeledTriple]) -> BatchItem:
-        """Enqueue one request; raises :class:`QueueFullError` when saturated."""
+        """Enqueue one request; raises :class:`ShedError` when saturated."""
         item = BatchItem(tuple(triples), self.clock.monotonic())
         with self._lock:
             if self._stopped:
                 raise RuntimeError(f"batcher {self.name!r} is stopped")
             if len(self._pending) >= self.max_queue:
-                raise QueueFullError(
+                # A full queue usually clears within a couple of batch windows.
+                raise ShedError(
                     f"batcher {self.name!r} queue is full "
-                    f"({self.max_queue} requests waiting)"
+                    f"({self.max_queue} requests waiting)",
+                    reason="queue-full",
+                    retry_after_s=max(2 * self.max_wait_s, 0.05),
                 )
             self._pending.append(item)
             self._lock.notify()
@@ -271,4 +268,4 @@ class MicroBatcher:
         }
 
 
-__all__ = ["BatchHandler", "QueueFullError", "BatchItem", "MicroBatcher"]
+__all__ = ["BatchHandler", "BatchItem", "MicroBatcher"]

@@ -27,6 +27,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 
 from repro.obs.trace import get_tracer
+from repro.resilience.retry import ShedError
 from repro.serve.schemas import (
     SchemaError,
     classify_response,
@@ -34,7 +35,7 @@ from repro.serve.schemas import (
     parse_classify_request,
     render_json,
 )
-from repro.serve.service import CurationService, ShedError
+from repro.serve.service import CurationService
 
 #: Request bodies above this size are rejected outright (413).
 MAX_BODY_BYTES = 1 << 20

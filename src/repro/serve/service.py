@@ -8,12 +8,14 @@ full request path (batching, breaker trips, queue-full shedding) against
 this class directly; the HTTP server in :mod:`repro.serve.server` is a thin
 adapter over it.
 
-Load-shedding contract: when a backend cannot take a request — its breaker
-is open after consecutive handler failures, or its bounded queue is full —
-``classify`` raises :class:`ShedError` carrying the advisory
-``retry_after_s`` that the HTTP layer turns into a 503 + ``Retry-After``
-header.  Shed requests are counted (``serve.shed``) so a saturated run is
-visible in manifests, never silent.
+Load-shedding contract: a backend's request path is one
+:meth:`~repro.resilience.retry.CircuitBreaker.call`.  When the backend
+cannot take a request — its breaker is open after consecutive handler
+failures (advising the remaining cool-down), or its bounded queue is full —
+``classify`` raises :class:`~repro.resilience.retry.ShedError` carrying the
+advisory ``retry_after_s`` that the HTTP layer turns into a 503 +
+``Retry-After`` header.  Shed requests are counted (``serve.shed``) so a
+saturated run is visible in manifests, never silent.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.triples import LabeledTriple
 from repro.obs.trace import get_tracer, span
-from repro.perf.harness import percentile
-from repro.resilience.retry import CircuitBreaker, CircuitOpenError, Clock
-from repro.serve.batcher import MicroBatcher, QueueFullError
+from repro.obs.metrics import percentile
+from repro.resilience.retry import CircuitBreaker, Clock, ShedError
+from repro.serve.batcher import MicroBatcher
 from repro.serve.curator import Curator
 
 #: How many recent request latencies the stats window keeps.
@@ -35,17 +37,6 @@ LATENCY_WINDOW = 4096
 
 #: Upper bound on how long one request waits for its batch to come back.
 DEFAULT_REQUEST_TIMEOUT_S = 30.0
-
-
-class ShedError(RuntimeError):
-    """The request was refused to protect the backend (HTTP 503)."""
-
-    retryable = False
-
-    def __init__(self, message: str, retry_after_s: float, reason: str):
-        super().__init__(message)
-        self.retry_after_s = retry_after_s
-        self.reason = reason
 
 
 class Backend:
@@ -65,7 +56,6 @@ class Backend:
         self.curator = curator
         self.name = curator.name
         self.request_timeout_s = request_timeout_s
-        self.max_wait_s = max_wait_s
         self.breaker = CircuitBreaker(
             failure_threshold=failure_threshold,
             reset_timeout=reset_timeout,
@@ -96,33 +86,19 @@ class Backend:
         full, and re-raises the handler's failure (after feeding the
         breaker) when the batch itself failed.
         """
-        try:
-            self.breaker.before_call()
-        except CircuitOpenError as error:
-            raise ShedError(
-                str(error), retry_after_s=self.breaker.reset_timeout,
-                reason="breaker-open",
-            ) from None
-        try:
+
+        def round_trip() -> Tuple[List[Optional[int]], int]:
             item = self.batcher.submit(triples)
-        except QueueFullError as error:
-            # A full queue usually clears within a couple of batch windows.
-            raise ShedError(
-                str(error),
-                retry_after_s=max(2 * self.max_wait_s, 0.05),
-                reason="queue-full",
-            ) from None
-        if not item.wait(self.request_timeout_s):
-            self.breaker.record_failure()
-            raise TimeoutError(
-                f"backend {self.name!r} did not answer within "
-                f"{self.request_timeout_s}s"
-            )
-        if item.error is not None:
-            self.breaker.record_failure()
-            raise item.error
-        self.breaker.record_success()
-        return list(item.result or []), int(item.batch_size or len(triples))
+            if not item.wait(self.request_timeout_s):
+                raise TimeoutError(
+                    f"backend {self.name!r} did not answer within "
+                    f"{self.request_timeout_s}s"
+                )
+            if item.error is not None:
+                raise item.error
+            return list(item.result or []), int(item.batch_size or len(triples))
+
+        return self.breaker.call(round_trip)
 
 
 class ServeStats:
@@ -264,7 +240,6 @@ class CurationService:
 __all__ = [
     "DEFAULT_REQUEST_TIMEOUT_S",
     "LATENCY_WINDOW",
-    "ShedError",
     "Backend",
     "ServeStats",
     "CurationService",

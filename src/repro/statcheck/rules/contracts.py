@@ -20,9 +20,7 @@ from repro.statcheck.rules.base import Rule
 _BROAD_NAMES = frozenset({"Exception", "BaseException", "ChatClientError"})
 
 #: Method names that count as "recording the failure" inside a handler.
-_METRIC_ATTRS = frozenset(
-    {"count", "incr", "record_failure", "record_success", "gauge"}
-)
+_METRIC_ATTRS = frozenset({"count", "incr", "gauge"})
 
 #: Dotted-name fragments that mark a call as metrics/logging machinery.
 _METRIC_ROOTS = ("tracer", "metrics", "logger", "logging", "warnings")
@@ -106,7 +104,7 @@ class DirectClockInDeliveryRule(Rule):
     id = "RES002"
     title = "direct time call inside repro.delivery"
     rationale = (
-        "The delivery engine's rate limits, deadlines, and hedge delays "
+        "The delivery engine's deadlines and hedge delays "
         "are pure functions of an injectable Clock; a direct time.sleep() "
         "or time.monotonic() bypasses the injection, so fake-clock tests "
         "silently run on the wall clock and backoff schedules stop being "

@@ -1,15 +1,16 @@
 """Model persistence: save/load trained embeddings and mini-BERT models.
 
-Two layouts coexist:
+Two layouts, one per model family:
 
-* single-file ``.npz`` archives (matrix + vocabulary + counts, or every
-  BERT parameter tensor in construction order) — portable model exports;
 * *store entry* layouts for static/fastText embeddings: the big matrix as
   a standalone uncompressed ``.npy`` (via :mod:`repro.pipeline.arrays`, so
   large tables memory-map on load) next to an ``embedding.json`` carrying
   the vocabulary and metadata.  Tokens are written in vocabulary-id order,
   so reloading needs no row realignment and the mapped matrix is served
-  zero-copy.
+  zero-copy;
+* a single-file ``.npz`` archive for mini-BERT (every parameter tensor in
+  construction order plus config and WordPiece vocabulary) — a portable
+  model export.
 
 Saves are crash-safe: files are written to a temp name in the target
 directory and renamed into place, so a killed run never leaves a truncated
@@ -35,9 +36,7 @@ from repro.utils.atomic import atomic_write
 
 PathLike = Union[str, Path]
 
-_EMBEDDING_FORMAT = "repro-static-embeddings-v1"
 _BERT_FORMAT = "repro-minibert-v1"
-_FASTTEXT_FORMAT = "repro-fasttext-v1"
 _EMBEDDING_ENTRY_FORMAT = "repro-static-embeddings-entry-v1"
 _FASTTEXT_ENTRY_FORMAT = "repro-fasttext-entry-v1"
 
@@ -74,102 +73,6 @@ def _npz_path(path: PathLike) -> Path:
     if not str(path).endswith(".npz"):
         path = Path(str(path) + ".npz")
     return path
-
-
-def save_embeddings(model: StaticEmbeddings, path: PathLike) -> None:
-    """Serialise a static embedding table to ``path`` (``.npz``)."""
-    tokens = list(model.vocabulary)
-    counts = [model.vocabulary.count(t) for t in tokens]
-    with atomic_write(_npz_path(path), "wb") as handle:
-        np.savez_compressed(
-            handle,
-            format=np.array(_EMBEDDING_FORMAT),
-            name=np.array(model.name),
-            matrix=model.matrix,
-            tokens=np.array(tokens, dtype=object),
-            counts=np.array(counts, dtype=np.int64),
-            oov_seed=np.array(getattr(model, "oov_seed", 0), dtype=np.int64),
-        )
-
-
-def load_embeddings(path: PathLike) -> StaticEmbeddings:
-    """Load a static embedding table written by :func:`save_embeddings`."""
-    with np.load(path, allow_pickle=True) as data:
-        if str(data["format"]) != _EMBEDDING_FORMAT:
-            raise ValueError(
-                f"{path} is not a {_EMBEDDING_FORMAT} file "
-                f"(found {data['format']!r})"
-            )
-        payload = {"tokens": data["tokens"], "counts": data["counts"]}
-        matrix = np.asarray(data["matrix"])
-        # Vocabulary re-sorts by (count, token); realign matrix rows only if
-        # the file was written with a different ordering convention.
-        vocabulary, order = _vocabulary_and_order(payload, matrix.shape[0])
-        if order is not None:
-            matrix = matrix[order]
-        # oov_seed is absent from pre-pipeline archives; those were all
-        # written with the default seed 0.
-        oov_seed = int(data["oov_seed"]) if "oov_seed" in data.files else 0
-        return StaticEmbeddings(
-            vocabulary, matrix, name=str(data["name"]), oov_seed=oov_seed
-        )
-
-
-def save_fasttext(model: FastText, path: PathLike) -> None:
-    """Serialise a :class:`FastText` model (word + n-gram bucket table).
-
-    Unlike plain static embeddings, fastText composes vectors from hashed
-    subword rows, so the full table (vocab + bucket rows) and the training
-    config (n-gram lengths, bucket size) must round-trip exactly.
-    """
-    tokens = list(model.vocabulary)
-    counts = [model.vocabulary.count(t) for t in tokens]
-    config = model.config
-    config_json = json.dumps(
-        {
-            "dim": config.dim,
-            "window": config.window,
-            "negative": config.negative,
-            "epochs": config.epochs,
-            "learning_rate": config.learning_rate,
-            "min_count": config.min_count,
-            "batch_size": config.batch_size,
-            "min_n": config.min_n,
-            "max_n": config.max_n,
-            "bucket": config.bucket,
-            "seed": config.seed,
-        },
-        sort_keys=True,
-    )
-    with atomic_write(_npz_path(path), "wb") as handle:
-        np.savez_compressed(
-            handle,
-            format=np.array(_FASTTEXT_FORMAT),
-            name=np.array(model.name),
-            config=np.array(config_json),
-            table=model.table,
-            tokens=np.array(tokens, dtype=object),
-            counts=np.array(counts, dtype=np.int64),
-        )
-
-
-def load_fasttext(path: PathLike) -> FastText:
-    """Load a fastText model written by :func:`save_fasttext`."""
-    with np.load(path, allow_pickle=True) as data:
-        if str(data["format"]) != _FASTTEXT_FORMAT:
-            raise ValueError(
-                f"{path} is not a {_FASTTEXT_FORMAT} file "
-                f"(found {data['format']!r})"
-            )
-        payload = {"tokens": data["tokens"], "counts": data["counts"]}
-        table = np.asarray(data["table"])
-        config = FastTextConfig(**json.loads(str(data["config"])))
-        # Word rows are indexed by vocabulary id; realign them only if the
-        # archive used a different ordering.  Bucket rows follow unchanged.
-        vocabulary, order = _vocabulary_and_order(payload, table.shape[0])
-        if order is not None:
-            table = np.concatenate([table[order], table[len(vocabulary):]])
-        return FastText(vocabulary, table, config, name=str(data["name"]))
 
 
 # -- store entry layouts (mmap-backed) ---------------------------------------
@@ -323,10 +226,6 @@ def load_bert(path: PathLike) -> MiniBert:
 
 
 __all__ = [
-    "save_embeddings",
-    "load_embeddings",
-    "save_fasttext",
-    "load_fasttext",
     "save_embeddings_entry",
     "load_embeddings_entry",
     "save_fasttext_entry",

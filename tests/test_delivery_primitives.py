@@ -1,8 +1,8 @@
 """Tests for the delivery engine's building blocks.
 
-TokenBucket, DeadlineBudget, ResponseCache, LatencyClient, and
-DeliveryBackend are each pure functions of an injectable clock, so every
-test here runs on a :class:`FaultClock` and finishes instantly.
+DeadlineBudget, ResponseCache, LatencyClient, and DeliveryBackend are each
+pure functions of an injectable clock, so every test here runs on a
+:class:`FaultClock` and finishes instantly.
 """
 
 import pytest
@@ -13,62 +13,11 @@ from repro.delivery import (
     DeliveryBackend,
     LatencyClient,
     ResponseCache,
-    TokenBucket,
 )
 from repro.llm.client import ChatClientError, EchoClient
 from repro.pipeline.store import ArtifactStore
 from repro.resilience.faults import FaultClock
 from repro.resilience.retry import CircuitBreaker, RetryPolicy
-
-
-class TestTokenBucket:
-    def test_starts_full(self):
-        bucket = TokenBucket(rate=2.0, burst=4.0, clock=FaultClock())
-        assert bucket.available() == pytest.approx(4.0)
-        for _ in range(4):
-            assert bucket.try_acquire()
-        assert not bucket.try_acquire()
-
-    def test_refills_at_rate(self):
-        clock = FaultClock()
-        bucket = TokenBucket(rate=2.0, burst=2.0, clock=clock)
-        assert bucket.try_acquire(2.0)
-        assert not bucket.try_acquire()
-        clock.advance(0.5)  # 2 tokens/s * 0.5s = 1 token
-        assert bucket.try_acquire()
-        assert not bucket.try_acquire()
-
-    def test_never_exceeds_burst(self):
-        clock = FaultClock()
-        bucket = TokenBucket(rate=10.0, burst=3.0, clock=clock)
-        clock.advance(100.0)
-        assert bucket.available() == pytest.approx(3.0)
-
-    def test_acquire_sleeps_on_the_injected_clock(self):
-        clock = FaultClock()
-        bucket = TokenBucket(rate=4.0, burst=1.0, clock=clock)
-        assert bucket.acquire()
-        assert bucket.acquire()  # must wait ~0.25s of virtual time
-        assert clock.sleeps, "the wait must go through the injected clock"
-        assert clock.now == pytest.approx(0.25)
-
-    def test_acquire_respects_max_wait(self):
-        clock = FaultClock()
-        bucket = TokenBucket(rate=0.5, burst=1.0, clock=clock)
-        assert bucket.acquire()
-        # Next token is 2s away; a 0.1s budget cannot cover it.
-        assert not bucket.acquire(max_wait_s=0.1)
-
-    def test_disabled_bucket_never_blocks(self):
-        bucket = TokenBucket(rate=None, clock=FaultClock())
-        for _ in range(100):
-            assert bucket.try_acquire()
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            TokenBucket(rate=-1.0)
-        with pytest.raises(ValueError):
-            TokenBucket(rate=1.0, burst=0.0)
 
 
 class TestDeadlineBudget:
@@ -189,20 +138,6 @@ class TestDeliveryBackend:
         assert backend.healthy()
         breaker.record_failure()
         assert not backend.healthy()
-
-    def test_rate_limit_wait_is_bounded_by_deadline(self):
-        clock = FaultClock()
-        backend = DeliveryBackend(
-            "b0",
-            EchoClient(),
-            bucket=TokenBucket(rate=0.1, burst=1.0, clock=clock),
-            clock=clock,
-        )
-        deadline = DeadlineBudget(0.5, clock=clock)
-        assert backend.deliver("p", 0, deadline) == "True"
-        # The next token is 10s away; the 0.5s budget cannot cover it.
-        with pytest.raises(DeadlineExceeded):
-            backend.deliver("p", 1, DeadlineBudget(0.5, clock=clock))
 
     def test_no_retry_after_deadline_expiry(self):
         clock = FaultClock()

@@ -13,8 +13,9 @@ from repro.llm.client import (
     HTTPChatClient,
     extract_completion,
 )
+from repro.delivery import DeadlineBudget, DeadlineExceeded, DeliveryBackend
 from repro.resilience.faults import FaultClock
-from repro.resilience.retry import CircuitBreaker, CircuitOpenError, RetryPolicy
+from repro.resilience.retry import CircuitBreaker, RetryPolicy, ShedError
 
 
 class FakeResponse:
@@ -214,6 +215,8 @@ class TestExtractCompletion:
 
 
 class TestRetryWiring:
+    """Protections come from wrapping the client in a DeliveryBackend."""
+
     def test_retry_policy_recovers_transient_failures(self, monkeypatch):
         attempts = []
 
@@ -226,11 +229,12 @@ class TestRetryWiring:
             )
 
         monkeypatch.setattr("urllib.request.urlopen", flaky_urlopen)
-        client = HTTPChatClient(
-            api_key="sk-test",
+        backend = DeliveryBackend(
+            "http",
+            HTTPChatClient(api_key="sk-test"),
             retry=RetryPolicy(base_delay=0.01, clock=FaultClock()),
         )
-        assert client.complete("p") == "True"
+        assert backend.deliver("p", 0) == "True"
         assert len(attempts) == 3
 
     def test_non_retryable_fails_fast_despite_policy(self, monkeypatch):
@@ -241,12 +245,13 @@ class TestRetryWiring:
             raise urllib.error.HTTPError("url", 401, "bad key", {}, None)
 
         monkeypatch.setattr("urllib.request.urlopen", denied_urlopen)
-        client = HTTPChatClient(
-            api_key="sk-test",
+        backend = DeliveryBackend(
+            "http",
+            HTTPChatClient(api_key="sk-test"),
             retry=RetryPolicy(base_delay=0.01, clock=FaultClock()),
         )
         with pytest.raises(ChatClientError):
-            client.complete("p")
+            backend.deliver("p", 0)
         assert len(attempts) == 1
 
     def test_breaker_cuts_off_dead_endpoint(self, monkeypatch):
@@ -258,16 +263,19 @@ class TestRetryWiring:
 
         monkeypatch.setattr("urllib.request.urlopen", dead_urlopen)
         clock = FaultClock()
-        client = HTTPChatClient(
-            api_key="sk-test",
+        backend = DeliveryBackend(
+            "http",
+            HTTPChatClient(api_key="sk-test"),
             breaker=CircuitBreaker(failure_threshold=2, reset_timeout=60.0,
                                    clock=clock),
+            clock=clock,
         )
         for _ in range(2):
             with pytest.raises(ChatClientError):
-                client.complete("p")
-        with pytest.raises(CircuitOpenError):
-            client.complete("p")
+                backend.deliver("p", 0)
+        with pytest.raises(ShedError) as shed:
+            backend.deliver("p", 0)
+        assert shed.value.reason == "breaker-open"
         assert len(attempts) == 2  # the open circuit never hit the network
 
 
@@ -288,8 +296,10 @@ class TestDeadlineBudgets:
 
         monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
         clock = FaultClock()
-        client = HTTPChatClient(api_key="sk-test", timeout=60.0, clock=clock)
-        client.complete("p", deadline_s=2.5)
+        backend = DeliveryBackend(
+            "http", HTTPChatClient(api_key="sk-test", timeout=60.0), clock=clock
+        )
+        backend.deliver("p", 0, DeadlineBudget(2.5, clock=clock))
         assert captured["timeout"] == pytest.approx(2.5)
 
     def test_client_timeout_still_caps_the_budget(self, monkeypatch):
@@ -300,10 +310,11 @@ class TestDeadlineBudgets:
             return self.ok_response()
 
         monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
-        client = HTTPChatClient(
-            api_key="sk-test", timeout=5.0, clock=FaultClock()
+        clock = FaultClock()
+        backend = DeliveryBackend(
+            "http", HTTPChatClient(api_key="sk-test", timeout=5.0), clock=clock
         )
-        client.complete("p", deadline_s=120.0)
+        backend.deliver("p", 0, DeadlineBudget(120.0, clock=clock))
         assert captured["timeout"] == pytest.approx(5.0)
 
     def test_expired_budget_is_a_typed_timeout_error(self, monkeypatch):
@@ -312,20 +323,16 @@ class TestDeadlineBudgets:
             lambda *a, **k: pytest.fail("must not touch the network"),
         )
         clock = FaultClock()
-        client = HTTPChatClient(api_key="sk-test", clock=clock)
-        # Time leaps past the deadline between computing `expires` and the
-        # remaining-budget check of the first attempt.
-        real_monotonic = clock.monotonic
-
-        def stepping_monotonic():
-            value = real_monotonic()
-            clock.advance(3.0)
-            return value
-
-        clock.monotonic = stepping_monotonic
-        with pytest.raises(ChatClientError) as exc:
-            client.complete("p", deadline_s=1.0)
-        assert exc.value.kind == "timeout"
+        backend = DeliveryBackend(
+            "http",
+            HTTPChatClient(api_key="sk-test"),
+            retry=RetryPolicy(base_delay=0.01, clock=clock),
+            clock=clock,
+        )
+        deadline = DeadlineBudget(1.0, clock=clock)
+        clock.advance(3.0)  # the budget is gone before the first attempt
+        with pytest.raises(DeadlineExceeded) as exc:
+            backend.deliver("p", 0, deadline)
         assert exc.value.retryable is False
 
     def test_no_retries_once_the_budget_is_spent(self, monkeypatch):
@@ -338,13 +345,14 @@ class TestDeadlineBudgets:
             raise urllib.error.URLError(TimeoutError("socket timed out"))
 
         monkeypatch.setattr("urllib.request.urlopen", slow_failing_urlopen)
-        client = HTTPChatClient(
-            api_key="sk-test",
-            clock=clock,
+        backend = DeliveryBackend(
+            "http",
+            HTTPChatClient(api_key="sk-test"),
             retry=RetryPolicy(max_attempts=5, base_delay=0.01, clock=clock),
+            clock=clock,
         )
         with pytest.raises(ChatClientError) as exc:
-            client.complete("p", deadline_s=1.5)
+            backend.deliver("p", 0, DeadlineBudget(1.5, clock=clock))
         # The first attempt consumed the whole budget; the timeout error
         # must surface immediately instead of burning four more attempts.
         assert len(attempts) == 1
@@ -360,22 +368,3 @@ class TestDeadlineBudgets:
             client.complete_indexed("p", 0, timeout_s=0.5)
         assert exc.value.kind == "timeout"
         assert exc.value.retryable is True
-
-    def test_complete_indexed_bypasses_client_retry(self, monkeypatch):
-        attempts = []
-
-        def failing_urlopen(*args, **kwargs):
-            attempts.append(1)
-            raise urllib.error.URLError(ConnectionRefusedError())
-
-        monkeypatch.setattr("urllib.request.urlopen", failing_urlopen)
-        client = HTTPChatClient(
-            api_key="sk-test",
-            retry=RetryPolicy(max_attempts=5, base_delay=0.01,
-                              clock=FaultClock()),
-        )
-        with pytest.raises(ChatClientError):
-            client.complete_indexed("p", 0)
-        # The engine owns retries at the backend layer; the stateless entry
-        # point must not stack the client's own schedule on top.
-        assert len(attempts) == 1

@@ -1,74 +1,27 @@
 """Tests for the metric primitives (repro.obs.metrics)."""
 
-import threading
-import time
+import pytest
 
 from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Timer,
     memory_metrics,
     peak_rss_bytes,
     peak_rss_mb,
-    tracemalloc_delta,
+    percentile,
 )
 
 
-class TestCounter:
-    def test_incr_and_value(self):
-        counter = Counter("n")
-        assert counter.incr() == 1
-        assert counter.incr(4) == 5
-        assert counter.value == 5
+class TestPercentile:
+    def test_interpolates_between_ranks(self):
+        assert percentile([3.0, 1.0, 2.0, 4.0], 50) == pytest.approx(2.5)
 
-    def test_reset(self):
-        counter = Counter()
-        counter.incr(3)
-        counter.reset()
-        assert counter.value == 0
+    def test_empty_raises_value_error(self):
+        with pytest.raises(ValueError, match="no samples"):
+            percentile([], 99)
 
-    def test_thread_safe_increments(self):
-        counter = Counter()
+    def test_harness_reexports_the_same_function(self):
+        from repro.perf import harness
 
-        def bump():
-            for _ in range(1000):
-                counter.incr()
-
-        threads = [threading.Thread(target=bump) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert counter.value == 4000
-
-
-class TestGauge:
-    def test_set_overwrites(self):
-        gauge = Gauge("g", 1.0)
-        gauge.set(2.5)
-        assert gauge.value == 2.5
-
-
-class TestTimer:
-    def test_accumulates_laps(self):
-        timer = Timer("t")
-        for _ in range(3):
-            with timer:
-                time.sleep(0.001)
-        assert timer.count == 3
-        assert timer.total >= 0.003
-        assert timer.last > 0
-        assert abs(timer.mean - timer.total / 3) < 1e-12
-
-    def test_rate(self):
-        timer = Timer()
-        with timer:
-            time.sleep(0.005)
-        assert timer.rate(100) > 0
-        assert Timer().rate(10) == 0.0  # no elapsed time yet
-
-    def test_mean_of_unused_timer(self):
-        assert Timer().mean == 0.0
+        assert harness.percentile is percentile
 
 
 class TestMemory:
@@ -127,18 +80,3 @@ class TestMemory:
         finally:
             if not was_tracing:
                 tm.stop()
-
-    def test_tracemalloc_delta_sees_allocation(self):
-        keep = None
-        with tracemalloc_delta() as delta:
-            keep = bytearray(512 * 1024)
-        assert delta.available
-        assert delta.delta_bytes is not None and delta.delta_bytes > 400_000
-        assert delta.peak_bytes is not None and delta.peak_bytes > 400_000
-        assert keep is not None
-
-    def test_tracemalloc_delta_near_zero_for_empty_block(self):
-        with tracemalloc_delta() as delta:
-            pass
-        assert delta.delta_bytes is not None
-        assert abs(delta.delta_bytes) < 100_000

@@ -1,5 +1,6 @@
 """Tests for the OBO parser/writer round-trip."""
 
+import gzip
 import io
 
 import pytest
@@ -89,6 +90,27 @@ class TestLoadObo:
         path.write_text(SAMPLE)
         onto = load_obo(path)
         assert onto.num_entities == 4
+
+
+    def test_gzipped_file_loads_like_plain(self, tmp_path, ontology):
+        text = dumps_obo(ontology)
+        plain = tmp_path / "chebi.obo"
+        plain.write_text(text, encoding="utf-8")
+        packed = tmp_path / "chebi.obo.gz"
+        packed.write_bytes(gzip.compress(text.encode("utf-8")))
+        assert dumps_obo(load_obo(packed)) == dumps_obo(load_obo(plain))
+
+    def test_non_utf8_file_raises_typed_error(self, tmp_path):
+        path = tmp_path / "latin1.obo"
+        path.write_bytes("[Term]\nid: A:1\nname: caf\u00e9\n".encode("latin-1"))
+        with pytest.raises(OboParseError, match="not UTF-8"):
+            load_obo(path)
+
+    def test_truncated_gzip_raises_typed_error(self, tmp_path):
+        path = tmp_path / "cut.obo.gz"
+        path.write_bytes(gzip.compress(SAMPLE.encode("utf-8"))[:-12])
+        with pytest.raises(OboParseError, match="corrupt gzip"):
+            load_obo(path)
 
 
 class TestRoundTrip:

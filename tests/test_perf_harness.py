@@ -51,7 +51,7 @@ class TestPercentile:
         assert percentile([0.0, 1.0], 50) == pytest.approx(0.5)
 
     def test_empty_raises(self):
-        with pytest.raises(PerfError):
+        with pytest.raises(ValueError):
             percentile([], 50)
 
 

@@ -6,18 +6,24 @@ import pytest
 from repro.bert.model import BertConfig, MiniBert
 from repro.bert.pretrain import PretrainConfig, pretrain_mlm
 from repro.bert.wordpiece import train_wordpiece
+from repro.embeddings.fasttext import FastText, FastTextConfig
 from repro.embeddings.word2vec import Word2Vec, Word2VecConfig
+from repro.pipeline.serialize import write_json
 from repro.utils.persistence import (
     load_bert,
-    load_embeddings,
+    load_embeddings_entry,
+    load_fasttext_entry,
     save_bert,
-    save_embeddings,
+    save_embeddings_entry,
+    save_fasttext_entry,
 )
 
 CORPUS = [["alpha", "beta", "gamma", "delta"], ["beta", "gamma", "alpha"]] * 15
 
 
 class TestEmbeddingPersistence:
+    """Store-entry layout: ``matrix.npy`` + ``embedding.json``."""
+
     @pytest.fixture(scope="class")
     def model(self):
         return Word2Vec.train(
@@ -26,49 +32,63 @@ class TestEmbeddingPersistence:
         )
 
     def test_round_trip_vectors(self, model, tmp_path):
-        path = tmp_path / "emb.npz"
-        save_embeddings(model, path)
-        loaded = load_embeddings(path)
+        save_embeddings_entry(model, tmp_path)
+        loaded = load_embeddings_entry(tmp_path)
         assert loaded.name == "W2V-test"
         assert loaded.dim == model.dim
         for token in ("alpha", "beta", "gamma"):
             assert np.allclose(loaded.vector(token), model.vector(token))
 
     def test_round_trip_vocabulary_counts(self, model, tmp_path):
-        path = tmp_path / "emb.npz"
-        save_embeddings(model, path)
-        loaded = load_embeddings(path)
+        save_embeddings_entry(model, tmp_path)
+        loaded = load_embeddings_entry(tmp_path)
         for token in model.vocabulary:
             assert loaded.vocabulary.count(token) == model.vocabulary.count(token)
 
     def test_oov_behaviour_preserved_by_name(self, model, tmp_path):
-        path = tmp_path / "emb.npz"
-        save_embeddings(model, path)
-        loaded = load_embeddings(path)
+        save_embeddings_entry(model, tmp_path)
+        loaded = load_embeddings_entry(tmp_path)
         assert not loaded.contains("zzz")
-        assert loaded.vector("zzz").shape == (12,)
+        assert np.array_equal(loaded.vector("zzz"), model.vector("zzz"))
 
     def test_wrong_format_rejected(self, tmp_path):
-        path = tmp_path / "bogus.npz"
-        np.savez(path, format=np.array("something-else"))
+        write_json(tmp_path / "embedding.json", {"format": "something-else"})
         with pytest.raises(ValueError, match="not a repro-static"):
-            load_embeddings(path)
+            load_embeddings_entry(tmp_path)
 
-    def test_bert_file_rejected_as_embeddings(self, model, tmp_path):
-        """Cross-format confusion: a mini-BERT .npz is not an embedding file."""
+    def test_static_entry_rejected_as_fasttext(self, model, tmp_path):
+        save_embeddings_entry(model, tmp_path)
+        with pytest.raises(ValueError, match="not a repro-fasttext"):
+            load_fasttext_entry(tmp_path)
+
+    def test_bert_file_rejected_as_embeddings(self, tmp_path):
+        """Cross-format confusion: a mini-BERT export is not an embedding entry."""
         tokenizer = train_wordpiece(CORPUS, vocab_size=40)
         bert = MiniBert(
             tokenizer,
             BertConfig(d_model=16, n_heads=2, n_layers=1, d_ff=32, max_len=16),
         )
-        path = tmp_path / "bert.npz"
-        save_bert(bert, path)
-        with pytest.raises(ValueError, match="not a repro-static"):
-            load_embeddings(path)
+        save_bert(bert, tmp_path / "bert.npz")
+        with pytest.raises(FileNotFoundError):
+            load_embeddings_entry(tmp_path)
+
+    def test_fasttext_round_trip(self, tmp_path):
+        model = FastText.train(
+            CORPUS,
+            FastTextConfig(dim=8, epochs=1, min_count=1, bucket=50, seed=0),
+            name="FT-test",
+        )
+        save_fasttext_entry(model, tmp_path)
+        loaded = load_fasttext_entry(tmp_path)
+        assert loaded.name == "FT-test"
+        assert loaded.config == model.config
+        assert np.array_equal(loaded.table, model.table)
+        # Subword composition survives: an unseen word maps identically.
+        assert np.allclose(loaded.vector("alphabet"), model.vector("alphabet"))
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_embeddings(tmp_path / "absent.npz")
+            load_embeddings_entry(tmp_path / "absent")
 
 
 class TestBertPersistence:
@@ -112,11 +132,12 @@ class TestBertPersistence:
 
     def test_embedding_file_rejected_as_bert(self, tmp_path):
         """Cross-format confusion: an embedding .npz is not a mini-BERT file."""
-        embeddings = Word2Vec.train(
-            CORPUS, Word2VecConfig(dim=8, epochs=1, min_count=1, seed=0)
-        )
         path = tmp_path / "emb.npz"
-        save_embeddings(embeddings, path)
+        np.savez(
+            path,
+            format=np.array("repro-static-embeddings-v1"),
+            matrix=np.zeros((2, 4)),
+        )
         with pytest.raises(ValueError, match="not a repro-minibert"):
             load_bert(path)
 

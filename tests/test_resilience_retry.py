@@ -3,12 +3,14 @@
 import pytest
 
 from repro.llm.client import ChatClientError
+from repro.obs import trace
+from repro.obs.trace import get_tracer
 from repro.resilience.faults import FaultClock
 from repro.resilience.retry import (
     CircuitBreaker,
-    CircuitOpenError,
     RetryError,
     RetryPolicy,
+    ShedError,
     is_retryable,
 )
 
@@ -47,7 +49,9 @@ class TestClassification:
         assert not is_retryable(err)
 
     def test_circuit_open_not_retryable(self):
-        assert not is_retryable(CircuitOpenError("open"))
+        assert not is_retryable(
+            ShedError("open", reason="breaker-open", retry_after_s=1.0)
+        )
 
 
 class TestRetryPolicyDelay:
@@ -144,7 +148,7 @@ class TestCircuitBreaker:
         assert breaker.state == CircuitBreaker.CLOSED
         breaker.record_failure()
         assert breaker.state == CircuitBreaker.OPEN
-        with pytest.raises(CircuitOpenError):
+        with pytest.raises(ShedError):
             breaker.before_call()
 
     def test_half_open_probe_closes_on_success(self):
@@ -152,7 +156,7 @@ class TestCircuitBreaker:
         breaker = CircuitBreaker(failure_threshold=1, reset_timeout=5.0,
                                  clock=clock)
         breaker.record_failure()
-        with pytest.raises(CircuitOpenError):
+        with pytest.raises(ShedError):
             breaker.before_call()
         clock.advance(5.0)
         breaker.before_call()  # half-open: allowed through
@@ -170,7 +174,7 @@ class TestCircuitBreaker:
         breaker.before_call()
         breaker.record_failure()  # one failure while half-open: re-open
         assert breaker.state == CircuitBreaker.OPEN
-        with pytest.raises(CircuitOpenError):
+        with pytest.raises(ShedError):
             breaker.before_call()
 
     def test_call_wrapper(self):
@@ -181,11 +185,35 @@ class TestCircuitBreaker:
         for _ in range(2):
             with pytest.raises(TimeoutError):
                 breaker.call(fn)
-        with pytest.raises(CircuitOpenError):
+        with pytest.raises(ShedError):
             breaker.call(fn)
         assert fn.calls == 2  # third call never reached the function
         clock.advance(1.0)
         assert breaker.call(fn) == "ok"
+        assert breaker.state == CircuitBreaker.CLOSED
+
+    def test_open_breaker_advertises_remaining_cool_down(self):
+        clock = FaultClock()
+        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=5.0,
+                                 clock=clock)
+        breaker.record_failure()
+        clock.advance(4.0)
+        with pytest.raises(ShedError) as shed:
+            breaker.before_call()
+        assert shed.value.reason == "breaker-open"
+        assert shed.value.retry_after_s == 1.0
+        assert shed.value.retryable is False
+
+    def test_call_does_not_record_a_downstream_shed(self):
+        breaker = CircuitBreaker(failure_threshold=1, clock=FaultClock())
+
+        def refuse():
+            raise ShedError("full", reason="queue-full", retry_after_s=0.05)
+
+        for _ in range(3):
+            with pytest.raises(ShedError):
+                breaker.call(refuse)
+        # A refusal is not a backend failure: the breaker stays closed.
         assert breaker.state == CircuitBreaker.CLOSED
 
     def test_success_resets_failure_count(self):
@@ -209,11 +237,52 @@ class TestRetryWithBreaker:
                                  clock=clock)
         fn = FlakyFn(10)
         policy = RetryPolicy(max_attempts=5, base_delay=0.01, clock=clock)
-        with pytest.raises(CircuitOpenError):
+        with pytest.raises(ShedError):
             policy.call(fn, breaker=breaker)
         # Two attempts tripped the breaker; the loop stopped without
         # burning the remaining attempts against an open circuit.
         assert fn.calls == 2
+
+    def test_shed_propagates_without_consuming_attempts(self):
+        breaker = CircuitBreaker(failure_threshold=5, clock=FaultClock())
+        calls = []
+
+        def refuse():
+            calls.append(1)
+            raise ShedError("full", reason="queue-full", retry_after_s=0.05)
+
+        policy = RetryPolicy(max_attempts=5, base_delay=0.01,
+                             clock=FaultClock())
+        with pytest.raises(ShedError):
+            # Even a classifier that would retry everything cannot retry a
+            # refusal.
+            policy.call(refuse, breaker=breaker, classify=lambda e: True)
+        assert calls == [1]
+        assert breaker.state == CircuitBreaker.CLOSED
+
+    def test_counters_through_the_breaker(self):
+        tracer = get_tracer()
+        was_enabled = tracer.enabled
+        trace.reset()
+        tracer.enabled = True
+        try:
+            clock = FaultClock()
+            breaker = CircuitBreaker(failure_threshold=2, reset_timeout=100.0,
+                                     clock=clock)
+            policy = RetryPolicy(max_attempts=5, base_delay=0.01, clock=clock)
+            with pytest.raises(ShedError):
+                policy.call(FlakyFn(10), breaker=breaker)
+            counters = tracer.counters()
+        finally:
+            tracer.enabled = was_enabled
+            trace.reset()
+        # Two attempts reached the function and each failure scheduled a
+        # retry; the third was refused at the gate, which is not an attempt.
+        # The breaker opened once.
+        assert counters["retry.attempts"] == 2
+        assert counters["retry.retries"] == 2
+        assert counters["circuit.opened"] == 1
+        assert "retry.giveups" not in counters
 
     def test_breaker_records_success(self):
         clock = FaultClock()

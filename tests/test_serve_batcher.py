@@ -8,7 +8,8 @@ import pytest
 
 from repro.core.triples import LabeledTriple
 from repro.ontology.relations import HAS_ROLE
-from repro.serve.batcher import MicroBatcher, QueueFullError
+from repro.resilience.retry import ShedError
+from repro.serve.batcher import MicroBatcher
 
 
 class FakeClock:
@@ -110,8 +111,10 @@ class TestPolicyOnFakeClock:
         )
         batcher.submit(make_triples(1))
         batcher.submit(make_triples(1))
-        with pytest.raises(QueueFullError):
+        with pytest.raises(ShedError) as shed:
             batcher.submit(make_triples(1))
+        assert shed.value.reason == "queue-full"
+        assert shed.value.retry_after_s == 2.0  # two batch windows
 
     def test_flush_drains_everything(self):
         clock = FakeClock()

@@ -11,10 +11,11 @@ import pytest
 from repro.core.triples import LabeledTriple
 from repro.ontology.relations import HAS_ROLE
 from repro.resilience.faults import FaultClock
+from repro.resilience.retry import ShedError
 from repro.serve.curator import Curator
 from repro.obs.trace import get_tracer
 from repro.serve.server import MAX_BODY_BYTES, start_server, stop_server
-from repro.serve.service import Backend, CurationService, ServeStats, ShedError
+from repro.serve.service import Backend, CurationService, ServeStats
 
 
 class StubCurator(Curator):
@@ -236,7 +237,9 @@ TRIPLE = {"subject": "caffeine", "relation": "has_role", "object": "stimulant"}
 
 class TestHttpContract:
     def test_shed_is_503_with_retry_after(self):
-        fixture = HttpFixture(failure_threshold=1, reset_timeout=2.5)
+        fixture = HttpFixture(
+            failure_threshold=1, reset_timeout=2.5, clock=FaultClock()
+        )
         try:
             # Trip the breaker directly; the next HTTP request is shed.
             fixture.service.pool["stub"].breaker.record_failure()
@@ -253,7 +256,9 @@ class TestHttpContract:
     @pytest.mark.parametrize("reset_timeout", [0.05, 1.0])
     def test_retry_after_header_is_integer_seconds(self, reset_timeout):
         # HTTP delay-seconds is an integer; the body keeps the precise value.
-        fixture = HttpFixture(failure_threshold=1, reset_timeout=reset_timeout)
+        fixture = HttpFixture(
+            failure_threshold=1, reset_timeout=reset_timeout, clock=FaultClock()
+        )
         try:
             fixture.service.pool["stub"].breaker.record_failure()
             status, headers, payload = fixture.request(
@@ -263,6 +268,21 @@ class TestHttpContract:
             assert re.fullmatch(r"\d+", headers["Retry-After"])
             assert int(headers["Retry-After"]) >= payload["retry_after_s"]
             assert payload["retry_after_s"] == reset_timeout
+        finally:
+            fixture.close()
+
+    def test_breaker_503_advertises_remaining_cool_down(self):
+        clock = FaultClock()
+        fixture = HttpFixture(failure_threshold=1, reset_timeout=5, clock=clock)
+        try:
+            fixture.service.pool["stub"].breaker.record_failure()
+            clock.advance(4.0)
+            status, headers, payload = fixture.request(
+                "POST", "/v1/classify", {"triple": TRIPLE}
+            )
+            assert status == 503
+            assert payload["retry_after_s"] == 1.0
+            assert headers["Retry-After"] == "1"
         finally:
             fixture.close()
 

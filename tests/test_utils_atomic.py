@@ -93,24 +93,27 @@ class TestArtefactWritersAreAtomic:
         assert path.read_text() == before
 
     def test_save_embeddings_crash_preserves_previous(self, tmp_path, monkeypatch):
+        from repro.pipeline import arrays
         from repro.utils import persistence
 
         class FakeEmbedding:
             name = "fake"
             vocabulary = ["a", "b"]
-            matrix = np.zeros((2, 2), dtype=np.float32)
 
-        path = tmp_path / "emb.npz"
-        persistence.save_embeddings(FakeEmbedding(), str(path))
-        before = path.read_bytes()
+            def __init__(self, fill):
+                self.matrix = np.full((2, 2), fill, dtype=np.float32)
+
+        persistence.save_embeddings_entry(FakeEmbedding(0.0), tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
         def boom(*args, **kwargs):
             raise Boom()
 
-        monkeypatch.setattr(persistence.np, "savez_compressed", boom)
+        monkeypatch.setattr(arrays.np, "save", boom)
         with pytest.raises(Boom):
-            persistence.save_embeddings(FakeEmbedding(), str(path))
-        assert path.read_bytes() == before
+            persistence.save_embeddings_entry(FakeEmbedding(1.0), tmp_path)
+        # The old entry survives intact, with no temp-file litter beside it.
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_write_manifest_crash_preserves_previous(self, tmp_path, monkeypatch):
         import json
