@@ -5,6 +5,9 @@ import http.client
 import json
 import re
 import socket
+import struct
+import threading
+import time
 
 import pytest
 
@@ -14,7 +17,12 @@ from repro.resilience.faults import FaultClock
 from repro.resilience.retry import ShedError
 from repro.serve.curator import Curator
 from repro.obs.trace import get_tracer
-from repro.serve.server import MAX_BODY_BYTES, start_server, stop_server
+from repro.serve.server import (
+    MAX_BODY_BYTES,
+    CurationRequestHandler,
+    start_server,
+    stop_server,
+)
 from repro.serve.service import Backend, CurationService, ServeStats
 
 
@@ -435,4 +443,161 @@ class TestContentLength:
                     assert status == 200
                     assert "Connection" not in headers
         finally:
+            fixture.close()
+
+
+def install_probe(server):
+    """Swap in a handler subclass recording, per accepted connection, its
+    ``TCP_NODELAY`` flag and the thread that handles it."""
+    seen = []
+
+    class Probe(CurationRequestHandler):
+        def setup(self):
+            super().setup()
+            nodelay = self.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            )
+            seen.append((nodelay, threading.current_thread()))
+
+    server.RequestHandlerClass = Probe
+    return seen
+
+
+def record_server_sends(monkeypatch, port):
+    """Every buffer the server side of ``port`` hands to ``send``/``sendall``."""
+    sends = []
+    for name in ("send", "sendall"):
+        original = getattr(socket.socket, name)
+
+        def recording(sock, data, *args, _original=original):
+            if sock.getsockname()[1] == port:
+                sends.append(bytes(data))
+            return _original(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, name, recording)
+    return sends
+
+
+def read_json_reply(sock):
+    """Read one keep-alive reply whose JSON body ends the response."""
+    reply = b""
+    while not reply.endswith(b"}"):
+        chunk = sock.recv(65536)
+        assert chunk, "server closed a keep-alive connection"
+        reply += chunk
+    return reply
+
+
+def wait_for(predicate, timeout_s=5.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out waiting"
+        time.sleep(0.01)
+
+
+class TestTransport:
+    """Each reply leaves in one send on a ``TCP_NODELAY`` socket: a reply
+    split into headers and body would wait ~40 ms for a delayed ACK."""
+
+    def test_accepted_connection_sets_tcp_nodelay(self):
+        fixture = HttpFixture()
+        seen = install_probe(fixture.server)
+        try:
+            status, _, _ = fixture.request("GET", "/healthz")
+            assert status == 200
+            [(nodelay, _)] = seen
+            assert nodelay != 0
+        finally:
+            fixture.close()
+
+    def test_classify_reply_is_one_send_of_headers_and_body(self, monkeypatch):
+        fixture = HttpFixture()
+        sends = record_server_sends(monkeypatch, fixture.port)
+        try:
+            body = json.dumps({"triple": TRIPLE}).encode("utf-8")
+            with socket.create_connection(
+                ("127.0.0.1", fixture.port), timeout=5
+            ) as sock:
+                sock.sendall(classify_head(len(body)) + body)
+                reply = read_json_reply(sock)
+            status, _, payload = parse_single_response(reply)
+            assert status == 200
+            assert payload["label"] == 1
+            assert sends == [reply]
+        finally:
+            fixture.close()
+
+    def test_expect_100_continue_is_sent_before_the_body(self):
+        fixture = HttpFixture()
+        try:
+            body = json.dumps({"triple": TRIPLE}).encode("utf-8")
+            head = classify_head(len(body)).replace(
+                b"\r\n\r\n", b"\r\nExpect: 100-continue\r\n\r\n"
+            )
+            with socket.create_connection(
+                ("127.0.0.1", fixture.port), timeout=5
+            ) as sock:
+                sock.sendall(head)
+                assert sock.recv(65536) == b"HTTP/1.1 100 Continue\r\n\r\n"
+                sock.sendall(body)
+                status, _, _ = parse_single_response(read_json_reply(sock))
+                assert status == 200
+        finally:
+            fixture.close()
+
+
+class TestStalledClients:
+    """A client that stops sending cannot pin a handler thread, and one
+    that hangs up is counted rather than printed."""
+
+    def test_stalled_body_is_408_and_the_handler_exits(self, monkeypatch):
+        monkeypatch.setattr(CurationRequestHandler, "timeout", 0.2)
+        fixture = HttpFixture()
+        seen = install_probe(fixture.server)
+        tracer = get_tracer()
+        was_enabled = tracer.enabled
+        tracer.enabled = True
+        before = tracer.counters().get("serve.internal_errors", 0)
+        try:
+            data = raw_exchange(fixture.port, classify_head(100) + b'{"tri')
+            status, headers, payload = parse_single_response(data)
+            assert status == 408
+            assert payload["status"] == 408
+            assert headers["Connection"] == "close"
+            assert tracer.counters().get("serve.internal_errors", 0) == before
+            assert fixture.curator.calls == 0
+            [(_, handler_thread)] = seen
+            handler_thread.join(timeout=5)
+            assert not handler_thread.is_alive()
+        finally:
+            tracer.enabled = was_enabled
+            fixture.close()
+
+    def test_client_hangup_is_counted_not_printed(self, capfd):
+        fixture = HttpFixture()
+        seen = install_probe(fixture.server)
+        tracer = get_tracer()
+        was_enabled = tracer.enabled
+        tracer.enabled = True
+        counters = tracer.counters
+        before = counters().get("serve.client_disconnects", 0)
+        internal = counters().get("serve.internal_errors", 0)
+        try:
+            sock = socket.create_connection(("127.0.0.1", fixture.port), timeout=5)
+            sock.sendall(classify_head(100) + b'{"tri')
+            wait_for(lambda: seen)
+            # Linger 0: close() resets the connection mid-body.
+            sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            sock.close()
+            [(_, handler_thread)] = seen
+            handler_thread.join(timeout=5)
+            assert not handler_thread.is_alive()
+            wait_for(lambda: counters().get("serve.client_disconnects", 0) > before)
+            assert counters().get("serve.internal_errors", 0) == internal
+            assert "Traceback" not in capfd.readouterr().err
+            assert fixture.curator.calls == 0
+        finally:
+            tracer.enabled = was_enabled
             fixture.close()
