@@ -380,11 +380,9 @@ def cmd_icl(args: argparse.Namespace) -> int:
         backends,
         DeliveryConfig(
             jobs=args.jobs,
-            hedge_s=args.hedge_ms / 1000.0 if args.hedge_ms is not None else None,
             deadline_s=(
                 args.deadline_ms / 1000.0 if args.deadline_ms is not None else None
             ),
-            seed=args.seed,
         ),
         cache=ResponseCache(args.cache) if args.cache else None,
     )
@@ -406,8 +404,6 @@ def cmd_icl(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         return 3
-    finally:
-        engine.close()
     table = Table(
         f"ICL protocol: {args.model}, variant #{args.variant}, task {args.task}",
         ["accuracy", "unclassified", "failed", "precision", "recall", "F1",
@@ -579,14 +575,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
 
 
 def _lint_selection(args) -> tuple:
-    """Resolve --rules/--flow/--diff into (per-file rules, flow, stale).
-
-    ``--diff`` lints only files changed against a ref; whole-program flow
-    rules and stale detection are disabled there because both are only
-    sound over the full tree (a call graph over three files proves
-    nothing about seed provenance, and a suppression can only be declared
-    dead when every rule actually ran against its file's callers).
-    """
+    """Resolve --rules/--flow into (per-file rules, flow, stale)."""
     from repro import statcheck
     from repro.statcheck.flow import select_flow_rules
 
@@ -595,14 +584,6 @@ def _lint_selection(args) -> tuple:
         if args.rules
         else None
     )
-    if args.diff is not None:
-        if args.flow:
-            print(
-                "note: --flow is ignored with --diff (whole-program "
-                "analysis needs the whole program)",
-                file=sys.stderr,
-            )
-        return statcheck.select_rules(ids), False, False
     if ids is None:
         return None, (True if args.flow else None), None
     flow_family = set(statcheck.FAMILIES["flow"])
@@ -623,18 +604,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
     Exit 0 clean / 1 findings / 2 crash / 3 stale suppressions only.
     """
     import json
-    from pathlib import Path
 
     from repro import statcheck
 
     try:
         paths = args.paths or None
-        if args.diff is not None:
-            changed = statcheck.changed_files(args.diff)
-            if not changed:
-                print(f"statcheck: no python files changed vs {args.diff}")
-                return 0
-            paths = changed
         if args.quick:
             started = time.perf_counter()
             findings = statcheck.quick_check(paths)
@@ -646,36 +620,14 @@ def cmd_lint(args: argparse.Namespace) -> int:
         else:
             rules, flow, stale = _lint_selection(args)
             report = statcheck.run_lint(paths, rules=rules, flow=flow, stale=stale)
-        baseline_path = Path(args.baseline)
-        if args.update_baseline:
-            count = statcheck.write_baseline(baseline_path, report.findings)
-            print(
-                f"statcheck: baseline {baseline_path} updated "
-                f"({count} entr{'y' if count == 1 else 'ies'})"
-            )
-            return 0
-        if baseline_path.is_file():
-            baseline = statcheck.load_baseline(baseline_path)
-            report.findings, report.baselined = statcheck.split_baselined(
-                report.findings, baseline
-            )
         statcheck.record_inventory(report)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:
                 statcheck.write_json(report, handle)
-        if args.sarif:
-            with open(args.sarif, "w", encoding="utf-8") as handle:
-                statcheck.write_sarif(report, handle)
         if args.format == "json":
             print(
                 json.dumps(
                     statcheck.render_json(report), indent=2, sort_keys=True
-                )
-            )
-        elif args.format == "sarif":
-            print(
-                json.dumps(
-                    statcheck.render_sarif(report), indent=2, sort_keys=True
                 )
             )
         else:
@@ -867,11 +819,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulated backend replicas the engine dispatches over",
     )
     icl.add_argument(
-        "--hedge-ms", type=float, default=None, dest="hedge_ms",
-        help="hedge a delivery to a second backend after this many ms "
-        "without a response",
-    )
-    icl.add_argument(
         "--deadline-ms", type=float, default=None, dest="deadline_ms",
         help="per-delivery deadline budget in ms (expired deliveries count "
         "as failed)",
@@ -1006,7 +953,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="files/dirs to lint (default: the installed repro package)",
     )
     lint.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text"
+        "--format", choices=("text", "json"), default="text"
     )
     lint.add_argument(
         "--quick", action="store_true",
@@ -1024,31 +971,12 @@ def build_parser() -> argparse.ArgumentParser:
         "are part of the default run",
     )
     lint.add_argument(
-        "--diff", nargs="?", const="HEAD", default=None, metavar="REF",
-        help="lint only python files changed vs REF (default HEAD), "
-        "plus untracked ones; per-file rules only",
-    )
-    lint.add_argument(
-        "--baseline", default=".statcheck-baseline.json", metavar="PATH",
-        help="baseline file; when present, baselined findings are "
-        "reported but do not fail the run",
-    )
-    lint.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline file from this run's findings and exit 0",
-    )
-    lint.add_argument(
-        "--sarif", default=None, metavar="PATH",
-        help="also write a SARIF 2.1.0 report to this path "
-        "(GitHub code scanning)",
-    )
-    lint.add_argument(
         "--output", default=None,
         help="also write the JSON report to this path",
     )
     lint.add_argument(
         "--verbose", action="store_true",
-        help="also list suppressed and baselined findings (text format)",
+        help="also list suppressed findings (text format)",
     )
     lint.set_defaults(func=cmd_lint)
 

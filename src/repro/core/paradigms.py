@@ -198,7 +198,7 @@ class ICLParadigm(Paradigm):
 
     Completions go through ``engine`` (a
     :class:`repro.delivery.DeliveryEngine`), which carries the retries,
-    rate limits, hedging and response cache; without one, a one-backend
+    circuit breakers and response cache; without one, a one-backend
     engine over ``client`` is built.  Each query is delivered at repeat
     index 0, so the answer is a pure function of the prompt regardless of
     what else the engine is serving (the serving batch-invariance

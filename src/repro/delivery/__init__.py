@@ -7,8 +7,8 @@ dispatch layer between the experiment loops and the chat clients:
 
 * :class:`~repro.delivery.engine.DeliveryEngine` fans deliveries out over a
   thread pool across N named :class:`~repro.delivery.backends.DeliveryBackend`
-  replicas (simulated profiles and HTTP endpoints alike), hedging stragglers
-  to a second healthy backend after a seeded threshold;
+  replicas (simulated profiles and HTTP endpoints alike), rotating the
+  first healthy backend by request index;
 * each backend sits behind the existing
   :class:`~repro.resilience.retry.RetryPolicy` +
   :class:`~repro.resilience.retry.CircuitBreaker` (one
@@ -26,8 +26,8 @@ dispatch layer between the experiment loops and the chat clients:
 
 Determinism survives concurrency because delivery behaviour is pure in
 ``(prompt, repeat)``: clients expose
-:meth:`~repro.llm.client.ChatClient.complete_indexed`, so whichever thread,
-backend, or hedge wins produces the same completion a one-job engine
+:meth:`~repro.llm.client.ChatClient.complete_indexed`, so whichever thread
+or backend delivers produces the same completion a one-job engine
 would have — the ``--jobs 8`` table is byte-identical to the ``--jobs 1`` one.
 """
 

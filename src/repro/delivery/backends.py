@@ -8,7 +8,7 @@ HTTP endpoint) wrapped in the protections a production path needs:
   transient failures per attempt;
 * an optional :class:`~repro.resilience.retry.CircuitBreaker` cutting off a
   persistently failing client (an open breaker marks the backend unhealthy,
-  so the engine routes and hedges around it); every attempt goes through
+  so the engine routes around it); every attempt goes through
   :meth:`~repro.resilience.retry.CircuitBreaker.call`;
 * the request's :class:`~repro.delivery.deadline.DeadlineBudget`, checked
   before each attempt and passed on as the attempt's socket timeout.
@@ -193,7 +193,7 @@ def simulated_backends(
     """N interchangeable simulated replicas of one behaviour profile.
 
     Every replica shares ``(profile, truth, task, seed)``, so each answers
-    any ``(prompt, repeat)`` identically — routing and hedging cannot change
+    any ``(prompt, repeat)`` identically — routing cannot change
     the table.  Faults (when ``fault_plan_text`` is set) and latency jitter
     are seeded per backend, so each replica misbehaves on its own schedule
     while the underlying completions stay shared.

@@ -1,4 +1,4 @@
-"""The concurrent delivery engine: dispatch, hedge, degrade, cache.
+"""The concurrent delivery engine: dispatch, degrade, cache.
 
 :class:`DeliveryEngine` routes completions over N
 :class:`~repro.delivery.backends.DeliveryBackend` replicas:
@@ -6,10 +6,8 @@
 * :meth:`run` fans a batch of :class:`DeliveryRequest`\\ s out over a thread
   pool (``jobs`` workers), invoking a callback per finished delivery so the
   caller journals progress from any thread;
-* a straggler is *hedged*: once the primary backend's attempt outlives a
-  seeded threshold, the same request is re-issued to the next healthy
-  backend and the first typed success wins — the loser is discarded, and
-  the delivery is counted exactly once;
+* each request goes to the first healthy backend in an order rotated by
+  its index, so load spreads evenly and an open breaker is routed around;
 * failures degrade into **typed outcomes** (``failed``, ``deadline``,
   ``shed``) rather than exceptions, feeding the ICL loop's existing
   ``failed`` accounting and the resume journal;
@@ -23,8 +21,7 @@ the outcome map is a pure function of the request set.  The ``--jobs 8``
 table is byte-identical to the ``--jobs 1`` one.
 
 Wall-clock calls are forbidden here by statcheck RES002 — every time read
-and sleep goes through the injected :class:`~repro.resilience.retry.Clock`
-(the blocking shell around futures uses bounded ``wait``, not sleeps).
+and sleep goes through the injected :class:`~repro.resilience.retry.Clock`.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from __future__ import annotations
 import threading
 from concurrent import futures
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.delivery.backends import DeliveryBackend
 from repro.delivery.cache import ResponseCache
@@ -40,7 +37,7 @@ from repro.delivery.deadline import DeadlineBudget, DeadlineExceeded
 from repro.llm.client import ChatClientError
 from repro.obs.trace import get_tracer, span
 from repro.resilience.retry import RetryError, ShedError
-from repro.utils.rng import derive_rng, stable_digest
+from repro.utils.rng import stable_digest
 
 #: Typed delivery statuses.
 OK, FAILED, DEADLINE, SHED = "ok", "failed", "deadline", "shed"
@@ -52,22 +49,15 @@ class DeliveryConfig:
 
     #: Worker threads draining the request queue.
     jobs: int = 1
-    #: Re-issue a straggling delivery after this many seconds (None = never).
-    hedge_s: Optional[float] = None
-    #: Seeded jitter fraction applied to the hedge threshold per request.
-    hedge_jitter: float = 0.2
     #: Per-request deadline budget in seconds (None = unlimited).
     deadline_s: Optional[float] = None
-    #: Seed for the deterministic hedge-threshold jitter.
+    #: Unused: nothing in the engine is random.  Kept only because
+    #: ``e2ebench/paper.py`` still passes it; drop it with that call site.
     seed: int = 0
 
     def __post_init__(self):
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.hedge_s is not None and self.hedge_s < 0:
-            raise ValueError("hedge_s must be >= 0")
-        if not 0.0 <= self.hedge_jitter < 1.0:
-            raise ValueError("hedge_jitter must be in [0, 1)")
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError("deadline_s must be positive")
 
@@ -79,7 +69,7 @@ class DeliveryRequest:
     key: str
     prompt: str
     repeat: int = 0
-    #: Stable per-run position; drives backend rotation and hedge jitter.
+    #: Stable per-run position; drives backend rotation.
     index: int = 0
 
 
@@ -91,7 +81,6 @@ class DeliveryOutcome:
     status: str  # ok | failed | deadline | shed
     text: Optional[str] = None
     backend: Optional[str] = None
-    hedged: bool = False
     cache_hit: bool = False
     error: Optional[str] = None
 
@@ -145,7 +134,7 @@ class _Budget:
 
 
 class DeliveryEngine:
-    """Dispatch completions over backends with hedging and degradation."""
+    """Dispatch completions over backends with typed degradation."""
 
     def __init__(
         self,
@@ -167,7 +156,6 @@ class DeliveryEngine:
         self.model = model or backends[0].client.name
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
-        self._attempt_pool: Optional[futures.ThreadPoolExecutor] = None
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -181,7 +169,7 @@ class DeliveryEngine:
         with self._lock:
             return dict(self._counters)
 
-    # -- routing and hedging policy (pure) -----------------------------------
+    # -- routing policy (pure) -----------------------------------------------
 
     def _order(self, index: int) -> List[DeliveryBackend]:
         """Healthy backends, rotated by request index for even spread."""
@@ -191,24 +179,14 @@ class DeliveryEngine:
         start = index % len(healthy)
         return healthy[start:] + healthy[:start]
 
-    def hedge_delay_s(self, index: int) -> Optional[float]:
-        """The straggler threshold for request ``index`` (seeded jitter)."""
-        hedge_s = self.config.hedge_s
-        if hedge_s is None:
-            return None
-        if self.config.hedge_jitter:
-            rng = derive_rng(self.config.seed, "delivery-hedge", index)
-            hedge_s *= 1.0 + self.config.hedge_jitter * (2.0 * rng.random() - 1.0)
-        return hedge_s
-
     # -- single delivery -----------------------------------------------------
 
     def complete(self, prompt: str, repeat: int = 0) -> str:
         """Deliver one prompt; raises :class:`DeliveryError` unless ``ok``.
 
         :class:`~repro.core.paradigms.ICLParadigm` uses this: one request,
-        key derived from content, index pinned to 0 so routing and
-        hedge jitter are pure functions of the prompt.
+        key derived from content, index pinned to 0 so routing is a pure
+        function of the prompt.
         """
         request = DeliveryRequest(
             key=stable_digest("delivery-single", stable_digest(prompt), repeat),
@@ -222,7 +200,7 @@ class DeliveryEngine:
         return outcome.text
 
     def deliver(self, request: DeliveryRequest) -> DeliveryOutcome:
-        """Deliver one request end to end: cache, route, hedge, degrade."""
+        """Deliver one request end to end: cache, route, degrade."""
         cached = self._from_cache(request)
         if cached is not None:
             return cached
@@ -255,14 +233,7 @@ class DeliveryEngine:
                 error="no healthy backend (all circuit breakers open)",
             )
         try:
-            hedge_delay = self.hedge_delay_s(request.index)
-            if hedge_delay is None or len(order) < 2:
-                text = order[0].deliver(request.prompt, request.repeat, deadline)
-                backend_name, hedged = order[0].name, False
-            else:
-                text, backend_name, hedged = self._deliver_hedged(
-                    request, order[0], order[1], hedge_delay, deadline
-                )
+            text = order[0].deliver(request.prompt, request.repeat, deadline)
         except DeadlineExceeded as error:
             self._count("deadline")
             return DeliveryOutcome(
@@ -283,75 +254,8 @@ class DeliveryEngine:
             key=request.key,
             status=OK,
             text=text,
-            backend=backend_name,
-            hedged=hedged,
+            backend=order[0].name,
         )
-
-    def _deliver_hedged(
-        self,
-        request: DeliveryRequest,
-        primary: DeliveryBackend,
-        secondary: DeliveryBackend,
-        hedge_delay: float,
-        deadline: Optional[DeadlineBudget],
-    ) -> Tuple[str, str, bool]:
-        """Primary attempt, then a hedge once the threshold elapses.
-
-        The first successful attempt wins and the loser is discarded — its
-        eventual result (or error) is never recorded anywhere, so metrics
-        count this delivery exactly once.  When every issued attempt fails,
-        the last error propagates for :meth:`_deliver_fresh` to type.
-        """
-        pool = self._hedge_pool()
-        pending: Dict[futures.Future, str] = {
-            pool.submit(
-                primary.deliver, request.prompt, request.repeat, deadline
-            ): primary.name
-        }
-        hedged = False
-        last_error: Optional[BaseException] = None
-        timeout: Optional[float] = hedge_delay
-        while pending:
-            done, _ = futures.wait(
-                list(pending), timeout=timeout, return_when=futures.FIRST_COMPLETED
-            )
-            if not done:
-                if not hedged:
-                    # The primary outlived the straggler threshold: hedge.
-                    hedged = True
-                    self._count("hedged")
-                    pending[
-                        pool.submit(
-                            secondary.deliver,
-                            request.prompt,
-                            request.repeat,
-                            deadline,
-                        )
-                    ] = secondary.name
-                    timeout = None
-                continue
-            for future in done:
-                name = pending.pop(future)
-                try:
-                    return future.result(), name, hedged
-                except (  # statcheck: ignore[RES001] - losers are discarded by design; re-raised below when all fail
-                    ChatClientError,
-                    RetryError,
-                    ShedError,
-                    DeadlineExceeded,
-                ) as error:
-                    last_error = error
-        assert last_error is not None
-        raise last_error
-
-    def _hedge_pool(self) -> futures.ThreadPoolExecutor:
-        with self._lock:
-            if self._attempt_pool is None:
-                self._attempt_pool = futures.ThreadPoolExecutor(
-                    max_workers=max(2, 2 * self.config.jobs),
-                    thread_name_prefix="delivery-attempt",
-                )
-            return self._attempt_pool
 
     # -- batch dispatch ------------------------------------------------------
 
@@ -427,20 +331,14 @@ class DeliveryEngine:
             counters=self.counters(),
         )
 
-    # -- lifecycle -----------------------------------------------------------
-
-    def close(self) -> None:
-        """Release the hedge pool (idempotent)."""
-        with self._lock:
-            pool, self._attempt_pool = self._attempt_pool, None
-        if pool is not None:
-            pool.shutdown(wait=False)
+    # -- context manager ------------------------------------------------------
+    # The engine holds no resources outside run(); ``with DeliveryEngine(...)``
+    # stays valid for callers written that way (e2ebench/paper.py).
 
     def __enter__(self) -> "DeliveryEngine":
         return self
 
     def __exit__(self, *exc) -> bool:
-        self.close()
         return False
 
 

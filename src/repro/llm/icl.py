@@ -221,13 +221,12 @@ def run_icl_experiment(
     Every delivery goes through ``engine`` (a
     :class:`~repro.delivery.engine.DeliveryEngine`) as a ``(prompt,
     repeat)`` request.  Without one, a single-backend engine over
-    ``client`` is built for the call (one job, no cache, no hedging) and
-    closed afterwards.  Retries, rate limits and deadlines belong to the
+    ``client`` is built for the call (one job, no cache).  Retries, rate limits and deadlines belong to the
     engine's backends.  A delivery that ends ``failed`` / ``deadline`` /
     ``shed`` is scored as unclassified and counted in ``ICLResult.n_failed``
     instead of aborting the run.  Because backend completions are pure in
-    ``(prompt, repeat)``, the table does not depend on the engine's jobs,
-    backends or hedging.
+    ``(prompt, repeat)``, the table does not depend on the engine's jobs
+    or backends.
 
     ``journal`` (a path or :class:`~repro.resilience.checkpoint.Journal`)
     checkpoints every finished delivery from the engine's worker thread; on
@@ -317,7 +316,6 @@ def run_icl_experiment(
     def value_of(outcome: DeliveryOutcome) -> str:
         return parse_response(outcome.text) if outcome.ok else FAILED
 
-    owns_engine = engine is None
     if engine is None:
         engine = DeliveryEngine([DeliveryBackend(client.name, client)])
     gold = [query.label for query in queries]
@@ -373,8 +371,6 @@ def run_icl_experiment(
                     passes.append(value)
                 responses.append(passes)
     finally:
-        if owns_engine:
-            engine.close()
         if owns_journal and journal_obj is not None:
             journal_obj.close()
 

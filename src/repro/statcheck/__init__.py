@@ -27,22 +27,13 @@ Entry points:
 Findings are suppressed per line with ``# statcheck: ignore[RULE] -
 justification`` (same line or the comment line directly above); a
 suppression that matches nothing is itself reported (``SUP001``).
-Legacy findings can be ratcheted with a baseline file
-(:mod:`repro.statcheck.baseline`, ``repro lint --update-baseline``).
 """
 
-from repro.statcheck.baseline import (
-    BASELINE_FORMAT,
-    load_baseline,
-    split_baselined,
-    write_baseline,
-)
 from repro.statcheck.engine import (
     STALE_RULE,
     SYNTAX_RULE,
     FileContext,
     LintReport,
-    changed_files,
     default_target,
     discover_files,
     lint_source,
@@ -52,13 +43,10 @@ from repro.statcheck.findings import Finding, StatcheckError
 from repro.statcheck.quick import CYCLE_RULE, quick_check
 from repro.statcheck.report import (
     REPORT_FORMAT,
-    SARIF_VERSION,
     record_inventory,
     render_json,
-    render_sarif,
     render_text,
     write_json,
-    write_sarif,
 )
 from repro.statcheck.rules import (
     FAMILIES,
@@ -69,7 +57,6 @@ from repro.statcheck.rules import (
 )
 
 __all__ = [
-    "BASELINE_FORMAT",
     "CYCLE_RULE",
     "FAMILIES",
     "FileContext",
@@ -77,26 +64,19 @@ __all__ = [
     "LintReport",
     "REPORT_FORMAT",
     "Rule",
-    "SARIF_VERSION",
     "STALE_RULE",
     "StatcheckError",
     "SYNTAX_RULE",
     "catalog",
-    "changed_files",
     "default_rules",
     "default_target",
     "discover_files",
     "lint_source",
-    "load_baseline",
     "quick_check",
     "record_inventory",
     "render_json",
-    "render_sarif",
     "render_text",
     "run_lint",
     "select_rules",
-    "split_baselined",
-    "write_baseline",
     "write_json",
-    "write_sarif",
 ]

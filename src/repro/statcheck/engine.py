@@ -15,7 +15,6 @@ lints — flow analysis included — in a couple of seconds.
 from __future__ import annotations
 
 import ast
-import subprocess
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,8 +56,6 @@ class LintReport:
     #: Stale suppression comments (:data:`STALE_RULE`) — hygiene, not
     #: correctness: they never fail a run on their own (exit code 3).
     stale: List[Finding] = field(default_factory=list)
-    #: Findings matched by the baseline file: visible, but non-fatal.
-    baselined: List[Finding] = field(default_factory=list)
     n_files: int = 0
     duration_s: float = 0.0
 
@@ -117,41 +114,6 @@ def discover_files(paths: Optional[Sequence[PathLike]] = None) -> List[Path]:
         else:
             raise StatcheckError(f"no such file or directory: {target}")
     return sorted(set(files))
-
-
-def changed_files(ref: str = "HEAD", cwd: Optional[PathLike] = None) -> List[Path]:
-    """Python files changed relative to ``ref``, plus untracked ones.
-
-    Backs ``repro lint --diff``: lint only what a branch touches.  Raises
-    :class:`StatcheckError` when git is unavailable or ``ref`` is unknown —
-    a diff lint that silently checks nothing would defeat its purpose.
-    Deleted files are excluded (nothing on disk to lint).
-    """
-    git = ["git"] + (["-C", str(cwd)] if cwd is not None else [])
-
-    def run(args: List[str]) -> str:
-        try:
-            proc = subprocess.run(
-                git + args, capture_output=True, text=True, check=True
-            )
-        except OSError as exc:
-            raise StatcheckError(f"cannot run git: {exc}") from exc
-        except subprocess.CalledProcessError as exc:
-            detail = (exc.stderr or "").strip() or f"exit {exc.returncode}"
-            raise StatcheckError(f"git {' '.join(args[:2])} failed: {detail}") from exc
-        return proc.stdout
-
-    top = Path(run(["rev-parse", "--show-toplevel"]).strip())
-    names = run(["diff", "--name-only", "-z", ref, "--"]).split("\0")
-    names += run(
-        ["ls-files", "--others", "--exclude-standard", "-z", "--"]
-    ).split("\0")
-    files = {
-        top / name
-        for name in names
-        if name.endswith(".py") and (top / name).is_file()
-    }
-    return sorted(files)
 
 
 def make_context(path: Path, source: str, rel: Optional[str] = None) -> FileContext:
@@ -367,7 +329,6 @@ __all__ = [
     "SYNTAX_RULE",
     "FileContext",
     "LintReport",
-    "changed_files",
     "module_name",
     "default_target",
     "discover_files",

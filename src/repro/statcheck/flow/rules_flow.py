@@ -315,8 +315,7 @@ class ResourceLifecycleRule(FlowRule):
         "fds when an exception skips the close() call. Every acquisition "
         "must be dominated by `with`, closed in a `finally`, returned/"
         "passed onward (ownership transfer), or stored on an object that "
-        "itself defines close()/shutdown() — the pattern DeliveryEngine "
-        "and Journal use."
+        "itself defines close()/shutdown() — the pattern Journal uses."
     )
     example = "pool = ThreadPoolExecutor(4)\npool.submit(f)\npool.shutdown()"
 

@@ -1,32 +1,23 @@
-"""Lint reporters: text for humans, JSON for CI, SARIF for code scanning.
+"""Lint reporters: text for humans, JSON for CI.
 
 The JSON document is a stable artifact (format tag
 ``repro-statcheck-v1``) that CI uploads next to test results; the
 inventory (findings per rule per module) is also pushed into the
 ``repro.obs`` run context so every manifest written afterwards records the
 lint state of the tree it was produced by — lint drift across PRs then
-shows up in manifest diffs, not just CI logs.  The SARIF 2.1.0 renderer
-feeds GitHub code scanning: findings surface as PR annotations instead of
-a log line nobody reads.
+shows up in manifest diffs, not just CI logs.
 """
 
 from __future__ import annotations
 
 import json
-from typing import IO, Dict, Optional
+from typing import IO, Optional
 
-from repro.statcheck.engine import STALE_RULE, SYNTAX_RULE, LintReport
+from repro.statcheck.engine import LintReport
 from repro.statcheck.rules import catalog
 
 #: Format tag of the JSON report document.
 REPORT_FORMAT = "repro-statcheck-v1"
-
-#: SARIF schema pinned by the renderer.
-SARIF_VERSION = "2.1.0"
-_SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
 
 
 def render_text(report: LintReport, verbose: bool = False) -> str:
@@ -37,9 +28,6 @@ def render_text(report: LintReport, verbose: bool = False) -> str:
     )
     if verbose:
         lines.extend(
-            f"{finding.render()} (baselined)" for finding in report.baselined
-        )
-        lines.extend(
             f"{finding.render()} (suppressed)" for finding in report.suppressed
         )
     counts = report.counts_by_rule()
@@ -48,13 +36,8 @@ def render_text(report: LintReport, verbose: bool = False) -> str:
         f"{len(report.suppressed)} suppressed, "
         f"{report.n_files} file(s) in {report.duration_s:.2f}s"
     )
-    extras = []
     if report.stale:
-        extras.append(f"{len(report.stale)} stale suppression(s)")
-    if report.baselined:
-        extras.append(f"{len(report.baselined)} baselined")
-    if extras:
-        summary += " (" + ", ".join(extras) + ")"
+        summary += f" ({len(report.stale)} stale suppression(s))"
     if counts:
         summary += " [" + ", ".join(
             f"{rule}={count}" for rule, count in counts.items()
@@ -90,11 +73,6 @@ def render_json(report: LintReport) -> dict:
             {"path": f.path, "line": f.line, "message": f.message}
             for f in report.stale
         ],
-        "n_baselined": len(report.baselined),
-        "baselined": [
-            {"path": f.path, "line": f.line, "rule": f.rule}
-            for f in report.baselined
-        ],
         "inventory": report.inventory(),
         "rules": list(catalog()),
     }
@@ -102,98 +80,6 @@ def render_json(report: LintReport) -> dict:
 
 def write_json(report: LintReport, handle: IO) -> None:
     json.dump(render_json(report), handle, indent=2, sort_keys=True)
-    handle.write("\n")
-
-
-def _rule_metadata() -> Dict[str, dict]:
-    """SARIF ``rules`` descriptors for every id the engine can emit."""
-    rules: Dict[str, dict] = {}
-    for entry in catalog():
-        rules[entry["id"]] = {
-            "id": entry["id"],
-            "shortDescription": {"text": entry["title"]},
-            "fullDescription": {"text": entry["rationale"]},
-        }
-    for rule_id, title in (
-        (SYNTAX_RULE, "file does not parse"),
-        (STALE_RULE, "stale suppression comment"),
-    ):
-        rules.setdefault(
-            rule_id,
-            {"id": rule_id, "shortDescription": {"text": title}},
-        )
-    return rules
-
-
-def _sarif_result(finding, level: str) -> dict:
-    return {
-        "ruleId": finding.rule,
-        "level": level,
-        "message": {"text": finding.message},
-        "locations": [
-            {
-                "physicalLocation": {
-                    "artifactLocation": {
-                        "uri": finding.path.replace("\\", "/"),
-                        "uriBaseId": "SRCROOT",
-                    },
-                    "region": {
-                        "startLine": finding.line,
-                        "startColumn": max(finding.col, 1),
-                    },
-                }
-            }
-        ],
-    }
-
-
-def render_sarif(report: LintReport) -> dict:
-    """SARIF 2.1.0 log: findings as errors, stale suppressions as warnings.
-
-    Baselined findings are emitted as ``note``-level results so code
-    scanning still shows the debt without failing the check; suppressed
-    findings are omitted entirely (they are resolved, by design).
-    """
-    rules = _rule_metadata()
-    emitted = set()
-    results = []
-    for finding in report.findings:
-        results.append(_sarif_result(finding, "error"))
-        emitted.add(finding.rule)
-    for finding in report.stale:
-        results.append(_sarif_result(finding, "warning"))
-        emitted.add(finding.rule)
-    for finding in report.baselined:
-        results.append(_sarif_result(finding, "note"))
-        emitted.add(finding.rule)
-    # Rules block: everything we know about, so rule help renders even for
-    # ids with zero results; unknown ids seen in results get a stub.
-    for rule_id in sorted(emitted - set(rules)):
-        rules[rule_id] = {
-            "id": rule_id,
-            "shortDescription": {"text": rule_id},
-        }
-    return {
-        "$schema": _SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-statcheck",
-                        "informationUri": "https://example.invalid/repro/LINTING.md",
-                        "rules": [rules[k] for k in sorted(rules)],
-                    }
-                },
-                "columnKind": "unicodeCodePoints",
-                "results": results,
-            }
-        ],
-    }
-
-
-def write_sarif(report: LintReport, handle: IO) -> None:
-    json.dump(render_sarif(report), handle, indent=2, sort_keys=True)
     handle.write("\n")
 
 
@@ -211,7 +97,6 @@ def record_inventory(report: LintReport, n_quick: Optional[int] = None) -> None:
         "n_findings": len(report.findings),
         "n_suppressed": len(report.suppressed),
         "n_stale": len(report.stale),
-        "n_baselined": len(report.baselined),
         "per_rule": report.counts_by_rule(),
         "inventory": report.inventory(),
     }
@@ -222,11 +107,8 @@ def record_inventory(report: LintReport, n_quick: Optional[int] = None) -> None:
 
 __all__ = [
     "REPORT_FORMAT",
-    "SARIF_VERSION",
     "render_text",
     "render_json",
-    "render_sarif",
     "write_json",
-    "write_sarif",
     "record_inventory",
 ]

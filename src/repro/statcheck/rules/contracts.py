@@ -104,14 +104,14 @@ class DirectClockInDeliveryRule(Rule):
     id = "RES002"
     title = "direct time call inside repro.delivery"
     rationale = (
-        "The delivery engine's deadlines and hedge delays "
-        "are pure functions of an injectable Clock; a direct time.sleep() "
+        "The delivery layer's deadlines, retry backoff and simulated "
+        "latency are pure functions of an injectable Clock; a direct time.sleep() "
         "or time.monotonic() bypasses the injection, so fake-clock tests "
         "silently run on the wall clock and backoff schedules stop being "
         "assertable. Route every wait and read through the backend's "
         "clock (a sanctioned `shell` module is the only exemption)."
     )
-    example = "time.sleep(self.hedge_s)  # in repro/delivery/engine.py"
+    example = "time.sleep(self.latency_s)  # in repro/delivery/backends.py"
 
     def applies_to(self, ctx) -> bool:
         # Only the delivery layer is under the injectable-clock contract,

@@ -502,7 +502,6 @@ class TestICLDeliveryEngine:
         args = build_parser().parse_args(["icl"])
         assert args.jobs == 1
         assert args.n_backends == 1
-        assert args.hedge_ms is None
         assert args.deadline_ms is None
         assert args.cache is None
 
@@ -523,7 +522,6 @@ class TestICLDeliveryEngine:
         assert main(ICL_ARGS + ["--output", str(base)]) == 0
         assert main(ICL_ARGS + [
             "--output", str(chaos), "--jobs", "8", "--backends", "4",
-            "--hedge-ms", "50",
             "--faults", "timeout:0.1,http500:0.05,malformed:0.05",
         ]) == 0
         captured = capsys.readouterr()

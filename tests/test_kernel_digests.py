@@ -14,8 +14,11 @@ re-golden.
 Timing lives in ``e2ebench/``; these cases only check results.  The rng
 labels (``perf-corpus``, ``perf-rf``, ``perf-store``) seed the pinned
 workloads, so they stay as recorded.  Some values are coarse: ``obo_parse``
-is an entity count and ``rf_fit`` a sum of normalised importances (1.0 for
-any forest), so ``rf_fit_trees`` pins what the trees compute.
+is an entity count, ``rf_fit`` a sum of normalised importances (1.0 for
+any forest) and ``icl_delivery`` a mean accuracy and unclassified count.
+So ``obo_parse_content`` pins the parsed stanzas, ``rf_fit_trees`` what the
+trees compute and ``icl_delivery_outcomes`` every completion the engine
+returned.
 """
 
 from contextlib import contextmanager
@@ -55,19 +58,54 @@ def _corpus(n_sentences, sentence_len, vocab_size):
 # yielded zero-argument body, teardown after.
 
 
-@contextmanager
-def obo_parse(tmp_path):
-    from repro.ontology.obo import dumps_obo, load_obo
+def _obo_text():
+    from repro.ontology.obo import dumps_obo
     from repro.ontology.synthesis import SynthesisConfig, synthesize_chebi_like
 
-    text = dumps_obo(
+    return dumps_obo(
         synthesize_chebi_like(
             SynthesisConfig(n_chemical_entities=400, seed=SEED)
         )
     )
+
+
+@contextmanager
+def obo_parse(tmp_path):
+    from repro.ontology.obo import load_obo
+
+    text = _obo_text()
     yield lambda: sum(
         1 for _ in load_obo(io.StringIO(text), name="perf").entities()
     )
+
+
+@contextmanager
+def obo_parse_content(tmp_path):
+    """``obo_parse``'s file, digested by the stanzas the parser reads.
+
+    Every entity's id, name, sub-ontology, definition, synonyms and
+    ``is_a`` parents, plus every relation statement.
+    """
+    from repro.ontology.obo import load_obo
+
+    text = _obo_text()
+
+    def run():
+        ontology = load_obo(io.StringIO(text), name="perf")
+        entities = [
+            (
+                entity.identifier,
+                entity.name,
+                entity.sub_ontology.name,
+                entity.definition,
+                entity.synonyms,
+                sorted(ontology.parents(entity.identifier)),
+            )
+            for entity in ontology.entities()
+        ]
+        return entities, sorted(s.key() for s in ontology.statements())
+
+    yield run
 
 
 @contextmanager
@@ -178,9 +216,13 @@ def rf_fit_trees(tmp_path):
     yield run
 
 
-@contextmanager
-def icl_delivery(tmp_path):
-    """Four simulated backends with 2 ms latency behind an 8-job engine."""
+def _icl_workload():
+    """Four simulated backends with 2 ms latency behind an 8-job engine.
+
+    Returns a zero-argument body that runs the ICL protocol over 20
+    queries x 2 repeats and hands back the result and every outcome the
+    engine returned.
+    """
     from repro.core.datasets import build_task_dataset
     from repro.delivery import DeliveryConfig, DeliveryEngine, simulated_backends
     from repro.llm.icl import ICLConfig, build_icl_queries, run_icl_experiment
@@ -203,19 +245,49 @@ def icl_delivery(tmp_path):
         simulated_backends(
             GPT35_PROFILE, truth, 1, n_backends=4, seed=SEED, latency_s=0.002
         ),
-        DeliveryConfig(jobs=8, seed=SEED),
+        DeliveryConfig(jobs=8),
     )
 
     def run():
+        outcomes = []
+
+        class Recording:
+            """Forwards ``run`` to the engine and keeps its outcomes."""
+
+            def run(self, requests, **kwargs):
+                report = engine.run(requests, **kwargs)
+                outcomes.extend(report.outcomes.values())
+                return report
+
         result = run_icl_experiment(
-            client, pool, queries, PromptVariant.BASE, config, engine=engine
+            client, pool, queries, PromptVariant.BASE, config, engine=Recording()
         )
+        return result, outcomes
+
+    return run
+
+
+@contextmanager
+def icl_delivery(tmp_path):
+    body = _icl_workload()
+
+    def run():
+        result, _ = body()
         return (round(result.accuracy_mean, 4), result.n_unclassified)
 
-    try:
-        yield run
-    finally:
-        engine.close()
+    yield run
+
+
+@contextmanager
+def icl_delivery_outcomes(tmp_path):
+    """``icl_delivery``, digested by every per-query ``(key, status, text)``."""
+    body = _icl_workload()
+
+    def run():
+        _, outcomes = body()
+        return sorted((o.key, o.status, o.text) for o in outcomes)
+
+    yield run
 
 
 @contextmanager
@@ -251,6 +323,7 @@ def store_roundtrip(tmp_path):
 #: Workload -> the committed digest of its body's result.
 DIGESTS = {
     obo_parse: "d7b95854ae83925dad7f8ed57ad9c899",
+    obo_parse_content: "2415a55166b6111672ad0bd7b162a4bc",
     wordpiece: "c6d786b8d684aa8d206f2fa6dc0cbb5a",
     glove_cooccur: "bd56fb0069155d2f8e11390b9edb4259",
     word2vec_neg: "b243fd4b139c07d5e5ec809351d257ba",
@@ -258,6 +331,7 @@ DIGESTS = {
     rf_fit: "5f8a2d42fe0030845fc28162720f81ef",
     rf_fit_trees: "349a0f0d88e796f9fb2973680ec01cfa",
     icl_delivery: "55c62a285b2b599a7926b7605dff5080",
+    icl_delivery_outcomes: "d842e03f37cb62ea509695e334360962",
     store_roundtrip: "12f9e4227f305c1ed24def4e153a7609",
 }
 

@@ -1,34 +1,18 @@
-"""Workflow-layer tests: diff lint, baselines, stale suppressions, SARIF.
+"""Workflow-layer tests: suppressions, stale accounting, exit codes.
 
 The engine tests cover "does a rule fire"; this file covers how findings
-move through a development workflow — `--diff` against a git ref, the
-ratchet baseline, stale-suppression accounting (exit 3), and the SARIF
-document CI uploads — plus the suppression-comment and astutil edge
-cases (decorators, nested/async defs, lambdas, multi-rule comments,
-continuation lines) those features lean on.
+move through a development workflow — suppression comments,
+stale-suppression accounting (exit 3), the flow pass inside the engine,
+and the ``repro lint`` exit codes — plus the suppression-comment and
+astutil edge cases (decorators, nested/async defs, lambdas, multi-rule
+comments, continuation lines) those features lean on.
 """
 
 import ast
-import json
-import subprocess
 import textwrap
 
-import pytest
-
 from repro.cli import main
-from repro.statcheck import (
-    STALE_RULE,
-    Finding,
-    LintReport,
-    StatcheckError,
-    changed_files,
-    lint_source,
-    load_baseline,
-    render_sarif,
-    run_lint,
-    split_baselined,
-    write_baseline,
-)
+from repro.statcheck import STALE_RULE, lint_source, run_lint
 from repro.statcheck.astutil import (
     build_alias_map,
     dotted_name,
@@ -257,117 +241,12 @@ class TestFlowThroughEngine:
         assert [f.rule for f in forced.findings] == ["FLOW003"]
 
 
-def _git(repo, *args):
-    subprocess.run(
-        ["git", "-C", str(repo), *args],
-        check=True, capture_output=True, text=True,
-    )
-
-
-@pytest.fixture
-def git_repo(tmp_path):
-    _git(tmp_path, "init", "-q")
-    _git(tmp_path, "config", "user.email", "dev@example.invalid")
-    _git(tmp_path, "config", "user.name", "dev")
-    (tmp_path / "a.py").write_text("A = 1\n")
-    (tmp_path / "notes.txt").write_text("not python\n")
-    _git(tmp_path, "add", ".")
-    _git(tmp_path, "commit", "-q", "-m", "seed")
-    return tmp_path
-
-
-class TestChangedFiles:
-    def test_modified_and_untracked_python_files(self, git_repo):
-        (git_repo / "a.py").write_text("A = 2\n")
-        (git_repo / "b.py").write_text("B = 1\n")
-        (git_repo / "c.txt").write_text("ignored\n")
-        files = changed_files("HEAD", cwd=git_repo)
-        assert [path.name for path in files] == ["a.py", "b.py"]
-
-    def test_clean_tree_yields_nothing(self, git_repo):
-        assert changed_files("HEAD", cwd=git_repo) == []
-
-    def test_unknown_ref_raises(self, git_repo):
-        with pytest.raises(StatcheckError, match="bad revision"):
-            changed_files("no-such-ref", cwd=git_repo)
-
-
-class TestBaseline:
-    def test_roundtrip_and_split(self, tmp_path):
-        findings = [
-            Finding("pkg/mod.py", 5, 1, "DET006", "unsorted json"),
-            Finding("pkg/mod.py", 9, 1, "DET003", "wall clock"),
-        ]
-        path = tmp_path / "base.json"
-        assert write_baseline(path, findings) == 2
-        baseline = load_baseline(path)
-        new = Finding("pkg/other.py", 1, 1, "DET006", "unsorted json")
-        moved = Finding("pkg/mod.py", 50, 1, "DET006", "unsorted json")
-        fresh, old = split_baselined([new, moved], baseline)
-        assert fresh == [new]
-        # Identity is (path, rule, message): line drift stays baselined.
-        assert old == [moved]
-
-    def test_malformed_baseline_raises(self, tmp_path):
-        path = tmp_path / "base.json"
-        path.write_text('{"format": "something-else"}')
-        with pytest.raises(StatcheckError, match="not a repro-statcheck"):
-            load_baseline(path)
-
-
-class TestSarif:
-    def make_report(self):
-        return LintReport(
-            findings=[Finding("pkg/mod.py", 5, 3, "FLOW003", "leaked pool")],
-            stale=[Finding("pkg/mod.py", 9, 1, STALE_RULE, "stale comment")],
-            baselined=[Finding("pkg/old.py", 2, 1, "DET006", "legacy json")],
-            n_files=2,
-        )
-
-    def test_levels_and_locations(self):
-        document = render_sarif(self.make_report())
-        assert document["version"] == "2.1.0"
-        run = document["runs"][0]
-        levels = {
-            (r["ruleId"], r["level"]) for r in run["results"]
-        }
-        assert levels == {
-            ("FLOW003", "error"),
-            (STALE_RULE, "warning"),
-            ("DET006", "note"),
-        }
-        location = run["results"][0]["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"] == "pkg/mod.py"
-        assert location["region"] == {"startLine": 5, "startColumn": 3}
-
-    def test_rule_metadata_covers_flow_and_engine_rules(self):
-        from repro.statcheck.flow import FLOW_RULE_IDS
-
-        document = render_sarif(LintReport())
-        ids = {
-            rule["id"]
-            for rule in document["runs"][0]["tool"]["driver"]["rules"]
-        }
-        assert set(FLOW_RULE_IDS) <= ids
-        assert {"SYN001", STALE_RULE} <= ids
-        assert json.dumps(document, sort_keys=True)  # serialisable as-is
-
-
 class TestLintCli:
     def test_findings_exit_1(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.py").write_text(DET006_SNIPPET)
         assert main(["lint", "bad.py"]) == 1
         assert "DET006" in capsys.readouterr().out
-
-    def test_baseline_workflow_exits_0(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "bad.py").write_text(DET006_SNIPPET)
-        assert main(["lint", "bad.py", "--update-baseline"]) == 0
-        assert (tmp_path / ".statcheck-baseline.json").is_file()
-        assert main(["lint", "bad.py"]) == 0
-        out = capsys.readouterr().out
-        assert "1 baselined" in out
 
     def test_stale_only_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -376,33 +255,3 @@ class TestLintCli:
         )
         assert main(["lint", "mod.py"]) == 3
         assert STALE_RULE in capsys.readouterr().out
-
-    def test_diff_with_clean_tree_exits_0(self, git_repo, monkeypatch, capsys):
-        monkeypatch.chdir(git_repo)
-        assert main(["lint", "--diff"]) == 0
-        assert "no python files changed" in capsys.readouterr().out
-
-    def test_diff_lints_only_changed_files(self, git_repo, monkeypatch, capsys):
-        monkeypatch.chdir(git_repo)
-        (git_repo / "b.py").write_text(DET006_SNIPPET)
-        assert main(["lint", "--diff", "HEAD"]) == 1
-        out = capsys.readouterr().out
-        assert "DET006" in out
-        assert "1 file(s)" in out
-
-    def test_sarif_format_prints_valid_document(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "bad.py").write_text(DET006_SNIPPET)
-        assert main(["lint", "bad.py", "--format", "sarif"]) == 1
-        document = json.loads(capsys.readouterr().out)
-        assert document["version"] == "2.1.0"
-        assert document["runs"][0]["results"][0]["ruleId"] == "DET006"
-
-    def test_sarif_file_written_alongside(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "bad.py").write_text(DET006_SNIPPET)
-        main(["lint", "bad.py", "--sarif", "out.sarif"])
-        document = json.loads((tmp_path / "out.sarif").read_text())
-        assert document["runs"][0]["results"]
