@@ -404,6 +404,9 @@ def cmd_icl(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         return 3
+    finally:
+        if engine.cache is not None:
+            engine.cache.close()
     table = Table(
         f"ICL protocol: {args.model}, variant #{args.variant}, task {args.task}",
         ["accuracy", "unclassified", "failed", "precision", "recall", "F1",
@@ -811,8 +814,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     icl.add_argument(
         "--jobs", type=int, default=1,
-        help="concurrent delivery workers (>1 routes through the delivery "
-        "engine; the table stays byte-identical to --jobs 1)",
+        help="concurrent delivery-engine workers (the table stays "
+        "byte-identical to --jobs 1)",
     )
     icl.add_argument(
         "--backends", type=int, default=1, dest="n_backends",
@@ -825,8 +828,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     icl.add_argument(
         "--cache", metavar="DIR",
-        help="content-addressed response cache directory (an ArtifactStore); "
-        "warm reruns rebuild zero completions",
+        help="response cache directory (completions are journal segments "
+        "under DIR/llm-response; delete it to clear); warm reruns rebuild "
+        "zero completions",
     )
     icl.add_argument("--output", help="also save the table to this path")
     icl.set_defaults(func=cmd_icl)

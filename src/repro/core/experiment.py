@@ -40,7 +40,6 @@ sets).  Every knob is in :class:`LabConfig`.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -112,8 +111,6 @@ class LabConfig:
     ft_epochs: int = 6
     ft_learning_rate: float = 1e-3
     seed: int = 0
-    # resilience: directory for checkpoint journals (None disables them)
-    journal_dir: Optional[str] = None
     # pipeline: directory for the persistent artifact store (None falls back
     # to $REPRO_ARTIFACTS; unset disables on-disk caching entirely)
     artifact_dir: Optional[str] = None
@@ -266,19 +263,6 @@ class Lab:
         """
         return StageScheduler(self).run(
             targets=targets, jobs=jobs, executor=executor
-        )
-
-    def journal(self, name: str):
-        """A checkpoint :class:`~repro.resilience.checkpoint.Journal` for one
-        long-running unit of work (e.g. one ICL table cell), or ``None`` when
-        ``config.journal_dir`` is unset.  Callers pass it to
-        ``run_icl_experiment(journal=...)`` to make the run resumable."""
-        if self.config.journal_dir is None:
-            return None
-        from repro.resilience.checkpoint import Journal
-
-        return Journal(
-            os.path.join(self.config.journal_dir, f"{name}.journal.jsonl")
         )
 
     # -- substrates -----------------------------------------------------------

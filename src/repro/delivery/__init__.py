@@ -20,8 +20,9 @@ dispatch layer between the experiment loops and the chat clients:
   loop's existing ``failed`` accounting and the resume
   :class:`~repro.resilience.checkpoint.Journal`;
 * a content-addressed :class:`~repro.delivery.cache.ResponseCache` keyed by
-  ``(model, prompt-hash, repeat)`` in the
-  :class:`~repro.pipeline.store.ArtifactStore` means reruns never re-pay a
+  ``(model, prompt-hash, repeat)``, stored as
+  :class:`~repro.resilience.checkpoint.Journal` segments under the artifact
+  store's ``llm-response`` directory, means reruns never re-pay a
   completion.
 
 Determinism survives concurrency because delivery behaviour is pure in

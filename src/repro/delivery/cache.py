@@ -5,15 +5,23 @@ per token; even the simulators dominate benchmark time once latency is
 modelled), and they are *pure*: a completion is a function of ``(model,
 prompt, repeat-index)`` — the repeat index covers the protocol's
 deliberate repeated deliveries of one prompt.  That makes them cacheable
-under exactly that key.
-
-The cache is a thin veneer over the existing
-:class:`~repro.pipeline.store.ArtifactStore`: each completion is one store
-entry under stage ``llm-response`` whose key is
+under exactly that key:
 ``stable_digest("llm-response", model, stable_digest(prompt), repeat)``
-(hashing the prompt first keeps keys short and filename-safe for arbitrary
-prompt text).  Entries inherit the store's atomic tmp+rename commit, so
-concurrent workers caching the same completion race harmlessly.
+(hashing the prompt first keeps keys short for arbitrary prompt text).
+
+The cache is a directory of :class:`~repro.resilience.checkpoint.Journal`
+segments, ``<store-root>/llm-response/*.jsonl``, one ``{"key", "value"}``
+record per completion, each fsynced as it is appended.  Opening the cache
+reads every segment into memory (a torn tail ends its segment, as it does
+for a resume journal), so ``get`` is a dict lookup.  An instance's first
+``put`` creates that instance's own segment: the engine's threads share its
+locked journal, and two processes never append to one file.  Because
+completions are pure, a key cached in two segments holds the same text in
+both, so the merge order never matters.
+
+Segments are not store entries: ``repro cache ls/gc/invalidate`` neither
+list nor remove them.  To clear the cache, delete the ``llm-response``
+directory.
 
 Only *successful* completions are cached — a failed delivery must be
 re-attempted on the next run, never replayed from disk.
@@ -21,91 +29,73 @@ re-attempted on the next run, never replayed from disk.
 
 from __future__ import annotations
 
-import json
+import os
+import tempfile
+import threading
 from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro.obs.trace import get_tracer
-from repro.pipeline.stage import Stage
 from repro.pipeline.store import ArtifactStore
-from repro.utils.atomic import atomic_write
+from repro.resilience.checkpoint import Journal
 from repro.utils.rng import stable_digest
 
 PathLike = Union[str, Path]
 
-#: The store stage name every cached completion lives under.
-RESPONSE_STAGE_NAME = "llm-response"
-
-_RESPONSE_FILE = "response.json"
-
-
-def _save_response(artifact: object, directory: Path) -> None:
-    with atomic_write(directory / _RESPONSE_FILE, "w") as handle:
-        json.dump(artifact, handle, sort_keys=True)
-
-
-def _load_response(directory: Path, inputs: Dict[str, object]) -> object:
-    with open(directory / _RESPONSE_FILE, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def _build_unsupported(lab: object, inputs: Dict[str, object]) -> object:
-    raise RuntimeError(
-        "llm-response entries are written by the delivery engine, "
-        "never built by the stage graph"
-    )
-
-
-#: Store stage for cached completions (save/load hooks only; the engine is
-#: the builder).
-RESPONSE_STAGE = Stage(
-    name=RESPONSE_STAGE_NAME,
-    build=_build_unsupported,
-    version="1",
-    save=_save_response,
-    load=_load_response,
-)
+#: The key namespace, and the store subdirectory holding the segments.
+_NAMESPACE = "llm-response"
 
 
 class ResponseCache:
     """Completion cache keyed by ``(model, prompt-hash, repeat)``."""
 
     def __init__(self, store: Union[ArtifactStore, PathLike]):
-        self.store = (
-            store if isinstance(store, ArtifactStore) else ArtifactStore(store)
-        )
+        root = store.root if isinstance(store, ArtifactStore) else Path(store)
+        self.directory = root / _NAMESPACE
+        self._entries: Dict[str, object] = {}
+        for segment in sorted(self.directory.glob("*.jsonl")):
+            self._entries.update(Journal(segment).load())
+        self._segment: Optional[Journal] = None
+        self._lock = threading.Lock()
 
     @staticmethod
     def key(model: str, prompt: str, repeat: int) -> str:
         """The content address of one completion."""
         return stable_digest(
-            RESPONSE_STAGE_NAME, model, stable_digest(prompt), int(repeat)
+            _NAMESPACE, model, stable_digest(prompt), int(repeat)
         )
 
     def get(self, model: str, prompt: str, repeat: int) -> Optional[str]:
         """The cached completion text, or ``None`` on a miss."""
         key = self.key(model, prompt, repeat)
-        if not self.store.has(RESPONSE_STAGE_NAME, key):
+        if key not in self._entries:
             return None
-        try:
-            record = self.store.load(RESPONSE_STAGE, key, {})
-        except (OSError, json.JSONDecodeError, ValueError):
-            # A mangled entry is a miss, not a crash — but never silently:
+        text = self._entries[key]
+        if not isinstance(text, str):
+            # A mangled record is a miss, not a crash — but never silently:
             # the rebuild cost shows up in the counters.
             get_tracer().count("delivery.cache_corrupt")
             return None
-        text = record.get("text") if isinstance(record, dict) else None
-        return text if isinstance(text, str) else None
+        return text
 
     def put(self, model: str, prompt: str, repeat: int, text: str) -> None:
-        """Persist one successful completion (atomic, race-safe)."""
-        record = {
-            "model": model,
-            "repeat": int(repeat),
-            "prompt_digest": stable_digest(prompt),
-            "text": text,
-        }
-        self.store.put(RESPONSE_STAGE, self.key(model, prompt, repeat), record)
+        """Persist one successful completion (appended and fsynced)."""
+        with self._lock:
+            if self._segment is None:
+                self.directory.mkdir(parents=True, exist_ok=True)
+                fd, name = tempfile.mkstemp(
+                    dir=self.directory, suffix=".jsonl"
+                )
+                os.close(fd)
+                self._segment = Journal(name)
+        key = self.key(model, prompt, repeat)
+        self._segment.record(key, text)
+        self._entries[key] = text
+
+    def close(self) -> None:
+        """Close this instance's segment, if it opened one."""
+        if self._segment is not None:
+            self._segment.close()
 
 
-__all__ = ["RESPONSE_STAGE", "RESPONSE_STAGE_NAME", "ResponseCache"]
+__all__ = ["ResponseCache"]

@@ -221,10 +221,11 @@ def run_icl_experiment(
     Every delivery goes through ``engine`` (a
     :class:`~repro.delivery.engine.DeliveryEngine`) as a ``(prompt,
     repeat)`` request.  Without one, a single-backend engine over
-    ``client`` is built for the call (one job, no cache).  Retries, rate limits and deadlines belong to the
-    engine's backends.  A delivery that ends ``failed`` / ``deadline`` /
-    ``shed`` is scored as unclassified and counted in ``ICLResult.n_failed``
-    instead of aborting the run.  Because backend completions are pure in
+    ``client`` is built for the call (one job, no cache).  Retries, circuit
+    breakers and deadlines belong to the engine's backends.  A delivery
+    that ends ``failed`` / ``deadline`` / ``shed`` is scored as
+    unclassified and counted in ``ICLResult.n_failed`` instead of aborting
+    the run.  Because backend completions are pure in
     ``(prompt, repeat)``, the table does not depend on the engine's jobs
     or backends.
 

@@ -3,18 +3,15 @@
 Large read-mostly matrices (embedding tables, co-occurrence shards) used to
 round-trip through compressed ``.npz`` archives, which forces a full
 decompress-and-copy on every load.  This module writes each array as a
-standalone uncompressed ``.npy`` file (atomically: tmp + rename, matching
-the store's entry discipline) and loads it through ``np.load`` with an
-explicit ``mmap_mode``:
+standalone uncompressed ``.npy`` file (through
+:func:`~repro.utils.atomic.atomic_write`: fsynced tmp + rename, matching the
+store's entry discipline) and loads it through ``np.load`` with an explicit
+``mmap_mode``:
 
 * arrays of at least :data:`MMAP_MIN_BYTES` are mapped read-only — the OS
   pages them in lazily and shares pages between processes;
 * smaller arrays are plainly read — mapping them costs more in syscalls
   than the copy saves.
-
-Setting the :data:`NO_MMAP_ENV` environment variable (``REPRO_NO_MMAP``) to
-a non-empty value disables mapping globally, e.g. for stores on network
-filesystems where page faults are slower than a streamed read.
 
 Loads are attributed like other store I/O: the enclosing span (if any)
 carries accumulated ``store.bytes_mapped`` / ``store.bytes_copied`` gauges,
@@ -23,27 +20,18 @@ and the process-wide tracer counts the same totals.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
 from repro.obs.trace import get_tracer
+from repro.utils.atomic import atomic_write
 
 PathLike = Union[str, Path]
 
 #: Arrays at least this large (in bytes, on disk) are memory-mapped.
 MMAP_MIN_BYTES = 1 << 20
-
-#: Environment variable that disables memory-mapping when set non-empty.
-NO_MMAP_ENV = "REPRO_NO_MMAP"
-
-
-def mmap_enabled() -> bool:
-    """True unless ``REPRO_NO_MMAP`` is set to a non-empty value."""
-    return not os.environ.get(NO_MMAP_ENV, "")
 
 
 def save_array(path: PathLike, array: np.ndarray) -> None:
@@ -53,20 +41,8 @@ def save_array(path: PathLike, array: np.ndarray) -> None:
     and the store's artifacts are already cheap to regenerate relative to
     their read frequency.
     """
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".tmp-{path.name}-", suffix=".npy"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            np.save(handle, np.ascontiguousarray(array))
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    with atomic_write(path, "wb") as handle:
+        np.save(handle, np.ascontiguousarray(array))
 
 
 def _attribute_load(n_bytes: int, mapped: bool) -> None:
@@ -81,9 +57,7 @@ def _attribute_load(n_bytes: int, mapped: bool) -> None:
     tracer.count(f"store.bytes_{kind}", n_bytes)
 
 
-def load_array(
-    path: PathLike, *, threshold: int = MMAP_MIN_BYTES
-) -> np.ndarray:
+def load_array(path: PathLike) -> np.ndarray:
     """Load a ``.npy`` array, memory-mapping it when it is large enough.
 
     Callers that mutate the result must copy it first; mapped arrays are
@@ -91,7 +65,7 @@ def load_array(
     """
     path = Path(path)
     n_bytes = path.stat().st_size
-    use_mmap = mmap_enabled() and n_bytes >= threshold
+    use_mmap = n_bytes >= MMAP_MIN_BYTES
     array = np.load(path, mmap_mode="r" if use_mmap else None)
     _attribute_load(n_bytes, use_mmap)
     return array
@@ -99,8 +73,6 @@ def load_array(
 
 __all__ = [
     "MMAP_MIN_BYTES",
-    "NO_MMAP_ENV",
-    "mmap_enabled",
     "save_array",
     "load_array",
 ]

@@ -12,7 +12,9 @@ Three layers, composable and deterministic:
   deterministic rates, so every retry path is testable offline;
 * :mod:`repro.resilience.checkpoint` — :class:`Journal` (append-only,
   fsynced, torn-tail-tolerant) lets the ICL protocol and benchmark tables
-  resume after a kill without recomputing completed deliveries.
+  resume after a kill without recomputing completed deliveries; its
+  segments are also the on-disk format of the completion cache
+  (:class:`~repro.delivery.cache.ResponseCache`).
 
 The spec grammar accepted by ``FaultPlan.parse`` (and the CLI ``--faults``
 flag) is ``kind:rate[,kind:rate...]``, e.g. ``timeout:0.1,http500:0.05``.

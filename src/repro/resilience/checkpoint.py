@@ -9,7 +9,10 @@ what a crash mid-append leaves behind.
 
 A restarted run loads the journal, skips every journaled unit, and only
 delivers the remainder — see ``run_icl_experiment(journal=...)`` — with the
-resume recorded in the run manifest (``resumed: true``).
+resume recorded in the run manifest (``resumed: true``).  The same record
+format backs the completion cache: each
+:class:`~repro.delivery.cache.ResponseCache` writer appends to its own
+journal segment.
 :class:`CheckpointAbort` is the controlled mid-run stop used by the
 ``--max-deliveries`` budget to demonstrate (and test) kill-and-resume.
 """
@@ -47,12 +50,11 @@ class Journal:
     key-to-value mapping of every intact record and stops at the first
     corrupt line (the torn tail of a crashed append).  ``record`` cuts such
     a tail before its first append, keeps the file handle open across
-    calls, and fsyncs each append by default.
+    calls, and fsyncs each append.
     """
 
-    def __init__(self, path: PathLike, sync: bool = True):
+    def __init__(self, path: PathLike):
         self.path = Path(path)
-        self.sync = sync
         self._handle = None
         # The concurrent delivery engine journals from worker threads; each
         # append (write + flush + fsync) must be one atomic unit so records
@@ -106,7 +108,7 @@ class Journal:
         return handle
 
     def record(self, key: str, value: object) -> None:
-        """Append one completed entry (flushed, and fsynced when ``sync``).
+        """Append one completed entry (flushed and fsynced).
 
         Thread-safe: concurrent delivery workers append whole records in
         some order; :meth:`load` replays them into a key-value map, so the
@@ -120,8 +122,7 @@ class Journal:
                 self._handle = self._open_for_append()
             self._handle.write(line.encode("utf-8") + b"\n")
             self._handle.flush()
-            if self.sync:
-                os.fsync(self._handle.fileno())
+            os.fsync(self._handle.fileno())
 
     def close(self) -> None:
         with self._lock:

@@ -2,10 +2,10 @@
 
 The wire format is deliberately small and schema-versioned: every response
 carries ``"format": "repro-serve-v1"`` so clients (and the golden round-trip
-tests) can detect drift the same way the perf baselines and run manifests
-do.  A classify request names a backend and carries either one ``triple`` or
-a ``triples`` batch; a triple is the JSON rendering of
-:class:`~repro.core.triples.LabeledTriple` minus the gold label::
+tests) can detect drift the same way run manifests do.  A classify request
+names a backend and carries either one ``triple`` or a ``triples`` batch; a
+triple is the JSON rendering of :class:`~repro.core.triples.LabeledTriple`
+minus the gold label::
 
     {"subject": "ammonium chloride", "relation": "has_role",
      "object": "ferroptosis inhibitor"}

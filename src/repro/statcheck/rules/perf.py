@@ -3,8 +3,8 @@
 Large artifact matrices are loaded on every warm pipeline run; whether a
 read copies the bytes or maps them is a real resource decision, not a
 default to inherit silently.  ``repro.pipeline.arrays.load_array`` owns
-that decision (size-gated ``mmap_mode="r"``, ``REPRO_NO_MMAP`` escape
-hatch, bytes-mapped/bytes-copied gauges) — any other ``np.load`` inside
+that decision (``mmap_mode="r"`` above a 1 MiB size gate,
+bytes-mapped/bytes-copied gauges) — any other ``np.load`` inside
 ``repro.pipeline`` that does not state ``mmap_mode`` explicitly is a read
 that made the decision by accident.
 """

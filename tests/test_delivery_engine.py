@@ -267,7 +267,7 @@ class TestEngineMatchesSequential:
 
 class TestJournalUnderConcurrency:
     def test_concurrent_appends_replay_to_one_map(self, tmp_path):
-        journal = Journal(tmp_path / "j.jsonl", sync=False)
+        journal = Journal(tmp_path / "j.jsonl")
         entries = {f"{r}:{q}": "true" for r in range(4) for q in range(25)}
 
         def write(keys):
@@ -293,7 +293,7 @@ class TestJournalUnderConcurrency:
         entries = {f"0:{q}": ("true" if q % 3 else "failed") for q in range(30)}
         order = list(entries)
         derive_rng(seed, "journal-order").shuffle(order)
-        journal = Journal(tmp_path / f"j{seed}.jsonl", sync=False)
+        journal = Journal(tmp_path / f"j{seed}.jsonl")
         for key in order:
             journal.record(key, entries[key])
         journal.close()

@@ -5,6 +5,10 @@ pure functions of an injectable clock, so every test here runs on a
 :class:`FaultClock` and finishes instantly.
 """
 
+import json
+import sys
+import threading
+
 import pytest
 
 from repro.delivery import (
@@ -15,6 +19,8 @@ from repro.delivery import (
     ResponseCache,
 )
 from repro.llm.client import ChatClientError, EchoClient
+from repro.obs import trace
+from repro.obs.trace import get_tracer
 from repro.pipeline.store import ArtifactStore
 from repro.resilience.faults import FaultClock
 from repro.resilience.retry import CircuitBreaker, RetryPolicy
@@ -57,31 +63,173 @@ class TestDeadlineBudget:
 
 
 class TestResponseCache:
-    def test_round_trip(self, tmp_path):
-        cache = ResponseCache(tmp_path / "cache")
+    @pytest.fixture
+    def open_cache(self):
+        """``ResponseCache`` whose segments are closed at teardown."""
+        opened = []
+
+        def open_(store):
+            opened.append(ResponseCache(store))
+            return opened[-1]
+
+        yield open_
+        for cache in opened:
+            cache.close()
+
+    @staticmethod
+    def _segments(root):
+        return sorted((root / "llm-response").glob("*.jsonl"))
+
+    def test_round_trip(self, tmp_path, open_cache):
+        cache = open_cache(tmp_path / "cache")
         assert cache.get("gpt-4", "prompt", 0) is None
         cache.put("gpt-4", "prompt", 0, "True.")
         assert cache.get("gpt-4", "prompt", 0) == "True."
 
-    def test_key_separates_model_prompt_and_repeat(self, tmp_path):
-        cache = ResponseCache(tmp_path / "cache")
+    def test_key_separates_model_prompt_and_repeat(self, tmp_path, open_cache):
+        cache = open_cache(tmp_path / "cache")
         cache.put("gpt-4", "prompt", 0, "A")
         assert cache.get("gpt-4", "prompt", 1) is None
         assert cache.get("gpt-3.5", "prompt", 0) is None
         assert cache.get("gpt-4", "other prompt", 0) is None
 
-    def test_keys_are_stable_across_instances(self, tmp_path):
-        first = ResponseCache(tmp_path / "cache")
+    def test_keys_are_stable_across_instances(self, tmp_path, open_cache):
+        first = open_cache(tmp_path / "cache")
         first.put("gpt-4", "prompt", 2, "False.")
-        second = ResponseCache(ArtifactStore(tmp_path / "cache"))
+        second = open_cache(ArtifactStore(tmp_path / "cache"))
         assert second.get("gpt-4", "prompt", 2) == "False."
 
-    def test_corrupt_entry_reads_as_miss(self, tmp_path):
-        cache = ResponseCache(tmp_path / "cache")
+    def test_corrupt_entry_reads_as_miss(self, tmp_path, open_cache):
+        root = tmp_path / "cache"
+        cache = open_cache(root)
         cache.put("gpt-4", "prompt", 0, "True.")
-        for response in (tmp_path / "cache").rglob("response.json"):
-            response.write_text("{not json", encoding="utf-8")
+        cache.put("gpt-4", "prompt", 1, "False.")
+        (segment,) = self._segments(root)
+        # A record whose value is not a string is counted and missed; the
+        # mangled line after it ends the segment like a torn tail.
+        key = ResponseCache.key("gpt-4", "prompt", 0)
+        segment.write_text(
+            json.dumps({"key": key, "value": {"text": "True."}}) + "\n"
+            + "{not json\n",
+            encoding="utf-8",
+        )
+        tracer = get_tracer()
+        was_enabled = tracer.enabled
+        tracer.enabled = True
+        trace.reset()
+        try:
+            reopened = open_cache(root)
+            assert reopened.get("gpt-4", "prompt", 0) is None
+            assert reopened.get("gpt-4", "prompt", 1) is None
+            assert tracer.counters() == {"delivery.cache_corrupt": 1}
+        finally:
+            tracer.enabled = was_enabled
+            trace.reset()
+
+    def test_torn_last_record_is_a_miss(self, tmp_path, open_cache):
+        root = tmp_path / "cache"
+        cache = open_cache(root)
+        for repeat in range(3):
+            cache.put("gpt-4", "prompt", repeat, f"answer {repeat}")
+        (segment,) = self._segments(root)
+        data = segment.read_bytes()
+        last_start = data.rstrip(b"\n").rfind(b"\n") + 1
+        # Cut the final record in the middle, as a crash mid-append would.
+        segment.write_bytes(data[: last_start + (len(data) - last_start) // 2])
+        reopened = open_cache(root)
+        assert reopened.get("gpt-4", "prompt", 0) == "answer 0"
+        assert reopened.get("gpt-4", "prompt", 1) == "answer 1"
+        assert reopened.get("gpt-4", "prompt", 2) is None
+
+    @staticmethod
+    def _run_threads(target, n_threads):
+        threads = [
+            threading.Thread(target=target, args=(i,))
+            for i in range(n_threads)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+
+    def test_two_writers_share_a_directory(self, tmp_path, open_cache):
+        root = tmp_path / "cache"
+        writers = [open_cache(root), open_cache(root)]
+
+        def fill(index):
+            for repeat in range(20):
+                text = f"{index}:{repeat}"
+                writers[index].put(f"model-{index}", "p", repeat, text)
+
+        self._run_threads(fill, 2)
+        assert len(self._segments(root)) == 2  # one segment per instance
+        reader = open_cache(root)
+        for index in range(2):
+            for repeat in range(20):
+                text = reader.get(f"model-{index}", "p", repeat)
+                assert text == f"{index}:{repeat}"
+
+    def test_threads_of_one_instance_share_one_segment(
+        self, tmp_path, open_cache
+    ):
+        root = tmp_path / "cache"
+        cache = open_cache(root)
+
+        def fill(index):
+            for repeat in range(25):
+                cache.put("gpt-4", f"p{index}", repeat, f"{index}:{repeat}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self._run_threads(fill, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        (segment,) = self._segments(root)
+        assert len(segment.read_bytes().splitlines()) == 8 * 25
+        reader = open_cache(root)
+        for index in range(8):
+            for repeat in range(25):
+                text = reader.get("gpt-4", f"p{index}", repeat)
+                assert text == f"{index}:{repeat}"
+
+    def test_hits_only_create_no_segment(self, tmp_path, open_cache):
+        root = tmp_path / "cache"
+        open_cache(root).put("gpt-4", "prompt", 0, "True.")
+        before = self._segments(root)
+        assert len(before) == 1
+        warm = open_cache(root)
+        assert warm.get("gpt-4", "prompt", 0) == "True."
+        assert warm.get("gpt-4", "prompt", 1) is None  # a miss writes nothing
+        assert self._segments(root) == before
+
+    def test_store_maintenance_leaves_segments(self, tmp_path, open_cache):
+        store = ArtifactStore(tmp_path / "cache")
+        open_cache(store).put("gpt-4", "prompt", 0, "True.")
+        segments = self._segments(store.root)
+        before = {p: p.read_bytes() for p in segments}
+        assert store.ls() == []
+        assert store.gc(max_age_days=0.0, now=1e12) == []
+        assert store.invalidate("*") == []
+        assert self._segments(store.root) == segments
+        assert {p: p.read_bytes() for p in segments} == before
+        assert open_cache(store).get("gpt-4", "prompt", 0) == "True."
+
+    def test_old_format_entry_is_ignored(self, tmp_path, open_cache):
+        root = tmp_path / "cache"
+        key = ResponseCache.key("gpt-4", "prompt", 0)
+        entry = root / "llm-response" / key
+        entry.mkdir(parents=True)
+        (entry / "response.json").write_text(
+            json.dumps({"model": "gpt-4", "repeat": 0, "text": "True."}),
+            encoding="utf-8",
+        )
+        (entry / "meta.json").write_text("{}", encoding="utf-8")
+        cache = open_cache(root)
         assert cache.get("gpt-4", "prompt", 0) is None
+        cache.put("gpt-4", "prompt", 0, "True.")
+        assert open_cache(root).get("gpt-4", "prompt", 0) == "True."
 
 
 class TestLatencyClient:
