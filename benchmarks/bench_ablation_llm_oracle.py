@@ -26,6 +26,7 @@ def compute(lab):
     config = ICLConfig(seed=lab.config.seed)
     queries = build_icl_queries(dataset, config)
     truth = truth_table(dataset)
+    engine_for = icl_resilience()
     rows = {}
     for ability in ABILITIES:
         profile = BehaviourProfile(
@@ -34,10 +35,9 @@ def compute(lab):
             consistency=1.0,
         )
         client = SimulatedChatModel(profile, truth, 1, seed=lab.config.seed)
-        engine_for, journal = icl_resilience(f"ablation_oracle_{ability}")
         result = run_icl_experiment(
             client, list(split.train), queries, PromptVariant.BASE,
-            config, journal=journal, engine=engine_for(client),
+            config, engine=engine_for(client),
         )
         rows[ability] = result.accuracy_mean
     return rows

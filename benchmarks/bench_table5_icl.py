@@ -48,6 +48,8 @@ PAPER_V1 = {
 @instrumented("table5_icl")
 def compute(lab):
     config = ICLConfig(seed=lab.config.seed)
+    # Optional fault injection via REPRO_FAULTS; no-op in a plain run.
+    engine_for = icl_resilience()
     results = {}
     for task in (1, 2, 3):
         dataset = lab.dataset(task)
@@ -59,14 +61,9 @@ def compute(lab):
                 client = SimulatedChatModel(
                     profile, truth, task, seed=lab.config.seed
                 )
-                # Optional fault injection / checkpointing via REPRO_FAULTS
-                # and REPRO_JOURNAL_DIR; no-op in a plain benchmark run.
-                engine_for, journal = icl_resilience(
-                    f"table5_t{task}_{profile.name}_v{variant.value}"
-                )
                 results[(task, profile.name, variant)] = run_icl_experiment(
                     client, list(split.train), queries, variant, config,
-                    journal=journal, engine=engine_for(client),
+                    engine=engine_for(client),
                 )
     return results
 

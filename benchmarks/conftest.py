@@ -112,29 +112,21 @@ def run_once(benchmark, fn, *args, **kwargs):
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, iterations=1, rounds=1)
 
 
-def icl_resilience(label):
-    """Resilience knobs for an ICL benchmark, from the environment.
+def icl_resilience():
+    """Fault injection for an ICL benchmark, from the environment.
 
-    Returns ``(engine_for, journal)``:
+    Returns ``engine_for(client)``: ``None`` (``run_icl_experiment`` then
+    builds its one-backend default), unless ``REPRO_FAULTS`` holds a fault
+    spec (e.g. ``timeout:0.1,http500:0.05``), in which case it is a
+    one-backend :class:`~repro.delivery.DeliveryEngine` over a
+    deterministic :class:`~repro.resilience.faults.FaultyClient`, retried
+    by a :class:`~repro.resilience.retry.RetryPolicy` on a virtual clock
+    (backoff costs no wall time).
 
-    * ``engine_for(client)`` — ``None`` (``run_icl_experiment`` then builds
-      its one-backend default), unless ``REPRO_FAULTS`` holds a fault spec
-      (e.g. ``timeout:0.1,http500:0.05``), in which case it is a
-      one-backend :class:`~repro.delivery.DeliveryEngine` over a
-      deterministic :class:`~repro.resilience.faults.FaultyClient`, retried
-      by a :class:`~repro.resilience.retry.RetryPolicy` on a virtual clock
-      (backoff costs no wall time);
-    * ``journal`` — ``$REPRO_JOURNAL_DIR/<label>.journal.jsonl`` when
-      ``REPRO_JOURNAL_DIR`` is set, else ``None``.
-
-    With neither variable set this is a no-op, so plain benchmark runs are
-    untouched; CI sets them to prove tables survive injected faults.
+    With the variable unset this is a no-op, so plain benchmark runs are
+    untouched; CI sets it to prove tables survive injected faults.
     """
     faults = os.environ.get("REPRO_FAULTS", "")
-    journal_dir = os.environ.get("REPRO_JOURNAL_DIR", "")
-    journal = None
-    if journal_dir:
-        journal = os.path.join(journal_dir, f"{label}.journal.jsonl")
 
     def engine_for(client):
         if not faults:
@@ -149,4 +141,4 @@ def icl_resilience(label):
             [DeliveryBackend(client.name, FaultyClient(client, plan), retry=retry)]
         )
 
-    return engine_for, journal
+    return engine_for

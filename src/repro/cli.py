@@ -8,7 +8,6 @@ Commands:
 * ``evaluate`` — train and score one paradigm on one task;
 * ``icl`` — run the Table 5 prompting protocol with a simulated model;
 * ``trace`` — pretty-print a saved run manifest as a span-time summary;
-* ``resume`` — inspect a checkpoint journal left by an interrupted run;
 * ``cache`` — manage the persistent artifact store (``ls``, ``gc``,
   ``invalidate``, ``warm``).  The store directory comes from ``--dir`` or
   the ``$REPRO_ARTIFACTS`` environment variable;
@@ -27,8 +26,8 @@ to ``REPRO_PROFILE=1``); ``--version`` prints the package version.
 The ``icl`` command demos the resilience layer: ``--faults
 timeout:0.1,http500:0.05`` injects deterministic faults (retried on a
 virtual clock, so the run is instant and its table matches the fault-free
-one), ``--journal``/``--resume`` checkpoint and resume the delivery loop,
-and ``--max-deliveries`` stops a run mid-table to exercise resume.
+one), and ``--max-deliveries`` stops a run mid-table; a rerun with the same
+``--cache`` serves the completions already delivered and finishes the table.
 """
 
 from __future__ import annotations
@@ -193,19 +192,13 @@ def _aggregate_self_times(node: dict, totals: dict) -> None:
 
 
 #: Counter key fragments surfaced in the trace command's resilience section.
-_RESILIENCE_PREFIXES = ("retry.", "faults.", "circuit.", "icl.resumes")
-_RESILIENCE_SUFFIXES = (".deliveries_failed", ".deliveries_resumed")
+_RESILIENCE_PREFIXES = ("retry.", "faults.", "circuit.", "delivery.cache_hit")
+_RESILIENCE_SUFFIXES = (".deliveries_failed",)
 
 
 def _resilience_lines(manifest: dict) -> List[str]:
-    """Degraded-run accounting: resume state and retry/fault/failure counts."""
+    """Degraded-run accounting: cache hits and retry/fault/failure counts."""
     lines: List[str] = []
-    context = manifest.get("context") or {}
-    if context.get("resumed"):
-        lines.append(
-            f"resumed: true ({context.get('resumed_deliveries', '?')} deliveries "
-            f"from {context.get('resume_journal', '?')})"
-        )
     counters = manifest.get("counters") or {}
     for name, value in sorted(counters.items()):
         if name.startswith(_RESILIENCE_PREFIXES) or name.endswith(
@@ -352,7 +345,7 @@ def cmd_icl(args: argparse.Namespace) -> int:
         ResponseCache,
         simulated_backends,
     )
-    from repro.resilience.checkpoint import CheckpointAbort, Journal
+    from repro.resilience.checkpoint import CheckpointAbort
     from repro.resilience.faults import FaultClock, FaultPlan, FaultyClient
     from repro.resilience.retry import RetryPolicy
 
@@ -386,21 +379,18 @@ def cmd_icl(args: argparse.Namespace) -> int:
         ),
         cache=ResponseCache(args.cache) if args.cache else None,
     )
-    journal = args.journal
-    if journal and not args.resume:
-        Journal(journal).wipe()  # fresh start unless explicitly resuming
     variant = PromptVariant(args.variant)
     try:
         result = run_icl_experiment(
             backends[0].client, list(split.train), queries, variant, config,
-            journal=journal, max_deliveries=args.max_deliveries, engine=engine,
+            max_deliveries=args.max_deliveries, engine=engine,
         )
     except CheckpointAbort as abort:
         print(f"stopped: {abort}", file=sys.stderr)
-        if journal:
+        if args.cache:
             print(
-                f"journal {journal} holds the completed deliveries; "
-                f"rerun with --resume to continue",
+                f"cache {args.cache} holds the completed deliveries; "
+                f"rerun with the same --cache to continue",
                 file=sys.stderr,
             )
         return 3
@@ -445,11 +435,6 @@ def cmd_icl(args: argparse.Namespace) -> int:
         ) or "none"
         print(
             f"injected faults over {calls} backend calls: {summary}",
-            file=sys.stderr,
-        )
-    if result.n_resumed:
-        print(
-            f"resumed {result.n_resumed} deliveries from {journal}",
             file=sys.stderr,
         )
     return 0
@@ -543,37 +528,6 @@ def cmd_cache_warm(args: argparse.Namespace) -> int:
         print(f"  {name}: {status}")
     summary = ", ".join(f"{k}={v}" for k, v in sorted(statuses.items()))
     print(f"warmed {len(results)} stages into {store.root} ({summary})")
-    return 0
-
-
-def cmd_resume(args: argparse.Namespace) -> int:
-    """Summarise a checkpoint journal left by an interrupted run."""
-    from repro.llm.icl import FAILED
-    from repro.resilience.checkpoint import Journal
-
-    entries = Journal(args.journal).load()
-    meta = entries.pop("__meta__", None)
-    if not entries and meta is None:
-        print(f"{args.journal}: empty or missing journal", file=sys.stderr)
-        return 1
-    print(f"journal: {args.journal}")
-    if isinstance(meta, dict):
-        described = ", ".join(f"{k}={v}" for k, v in sorted(meta.items()))
-        print(f"experiment: {described}")
-        total = int(meta.get("queries", 0)) * int(meta.get("repeats", 0))
-        if total:
-            print(
-                f"progress: {len(entries)}/{total} deliveries "
-                f"({100.0 * len(entries) / total:.1f}%)"
-            )
-    histogram: dict = {}
-    for value in entries.values():
-        histogram[str(value)] = histogram.get(str(value), 0) + 1
-    for outcome in sorted(histogram):
-        print(f"  {outcome}: {histogram[outcome]}")
-    n_failed = histogram.get(FAILED, 0)
-    if n_failed:
-        print(f"degraded deliveries (permanent failures): {n_failed}")
     return 0
 
 
@@ -796,21 +750,14 @@ def build_parser() -> argparse.ArgumentParser:
     icl.add_argument("--max-train", type=int, default=1_500, dest="max_train")
     icl.add_argument("--max-test", type=int, default=400, dest="max_test")
     icl.add_argument(
-        "--journal", help="checkpoint journal path (JSONL, one line/delivery)"
-    )
-    icl.add_argument(
-        "--resume", action="store_true",
-        help="resume from --journal instead of starting fresh",
-    )
-    icl.add_argument(
         "--faults", metavar="SPEC",
         help="inject faults, e.g. 'timeout:0.1,http500:0.05,malformed:0.05'",
     )
     icl.add_argument("--fault-seed", type=int, default=0, dest="fault_seed")
     icl.add_argument(
         "--max-deliveries", type=int, default=None, dest="max_deliveries",
-        help="stop (exit 3) after this many fresh deliveries; use with "
-        "--journal to exercise resume",
+        help="stop (exit 3) after this many fresh deliveries; rerun with "
+        "the same --cache to continue",
     )
     icl.add_argument(
         "--jobs", type=int, default=1,
@@ -888,12 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
         "round-trip over HTTP, shut down, exit 0 on success",
     )
     serve.set_defaults(func=cmd_serve)
-
-    resume = subparsers.add_parser(
-        "resume", help="inspect a checkpoint journal"
-    )
-    resume.add_argument("journal", help="path to a *.journal.jsonl file")
-    resume.set_defaults(func=cmd_resume)
 
     cache = subparsers.add_parser(
         "cache", help="manage the persistent artifact store"

@@ -17,13 +17,12 @@ dispatch layer between the experiment loops and the chat clients:
   functions of an injectable :class:`~repro.resilience.retry.Clock`;
 * deadline-exceeded and all-backends-shedding degrade into *typed*
   :class:`~repro.delivery.engine.DeliveryOutcome` statuses that feed the ICL
-  loop's existing ``failed`` accounting and the resume
-  :class:`~repro.resilience.checkpoint.Journal`;
+  loop's existing ``failed`` accounting;
 * a content-addressed :class:`~repro.delivery.cache.ResponseCache` keyed by
   ``(model, prompt-hash, repeat)``, stored as
   :class:`~repro.resilience.checkpoint.Journal` segments under the artifact
   store's ``llm-response`` directory, means reruns never re-pay a
-  completion.
+  completion, and is how a killed run resumes.
 
 Determinism survives concurrency because delivery behaviour is pure in
 ``(prompt, repeat)``: clients expose

@@ -12,8 +12,8 @@ under exactly that key:
 The cache is a directory of :class:`~repro.resilience.checkpoint.Journal`
 segments, ``<store-root>/llm-response/*.jsonl``, one ``{"key", "value"}``
 record per completion, each fsynced as it is appended.  Opening the cache
-reads every segment into memory (a torn tail ends its segment, as it does
-for a resume journal), so ``get`` is a dict lookup.  An instance's first
+reads every segment into memory (a torn tail ends its segment), so ``get``
+is a dict lookup.  An instance's first
 ``put`` creates that instance's own segment: the engine's threads share its
 locked journal, and two processes never append to one file.  Because
 completions are pure, a key cached in two segments holds the same text in
@@ -25,6 +25,11 @@ directory.
 
 Only *successful* completions are cached — a failed delivery must be
 re-attempted on the next run, never replayed from disk.
+
+The cache is also the ICL protocol's only resume record: every completion
+is fsynced as it lands, so a run killed mid-table (or stopped by
+``--max-deliveries``) and rerun over the same directory serves what it
+already delivered as hits and delivers only the remainder.
 """
 
 from __future__ import annotations

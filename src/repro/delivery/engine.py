@@ -5,15 +5,16 @@
 
 * :meth:`run` fans a batch of :class:`DeliveryRequest`\\ s out over a thread
   pool (``jobs`` workers), invoking a callback per finished delivery so the
-  caller journals progress from any thread;
+  caller reports progress from any thread;
 * each request goes to the first healthy backend in an order rotated by
   its index, so load spreads evenly and an open breaker is routed around;
 * failures degrade into **typed outcomes** (``failed``, ``deadline``,
   ``shed``) rather than exceptions, feeding the ICL loop's existing
-  ``failed`` accounting and the resume journal;
+  ``failed`` accounting;
 * successful completions are written to an optional
   :class:`~repro.delivery.cache.ResponseCache`; a warm rerun serves every
-  delivery from the cache and rebuilds nothing.
+  delivery from the cache and rebuilds nothing, and a rerun after a kill
+  delivers only what the cache lacks.
 
 Concurrency cannot change results: backends answer through
 ``complete_indexed(prompt, repeat)`` and replicas are interchangeable, so
@@ -270,11 +271,12 @@ class DeliveryEngine:
         """Deliver a batch over the worker pool; returns a full report.
 
         ``on_outcome`` fires once per finished delivery *from the worker
-        thread* — the ICL loop journals there, so a kill loses at most the
-        deliveries in flight.  ``max_deliveries`` bounds *fresh* deliveries
-        (cache hits are free, mirroring resumed journal entries); requests
-        beyond the budget are reported as ``skipped`` and the caller raises
-        its :class:`~repro.resilience.checkpoint.CheckpointAbort`.
+        thread* (the ICL loop advances its progress display there).
+        ``max_deliveries`` bounds *fresh* deliveries (cache hits are free, so
+        a rerun after a kill spends its budget only on what the cache
+        lacks); requests beyond the budget are reported as ``skipped`` and
+        the caller raises its
+        :class:`~repro.resilience.checkpoint.CheckpointAbort`.
         """
         requests = list(requests)
         budget = _Budget(max_deliveries)

@@ -17,16 +17,16 @@ Every delivery goes through one path, a
 engine over the client when the caller passes none).  A permanently failed
 delivery degrades into an explicit ``failed`` outcome (scored as
 unclassified, tallied in ``ICLResult.n_failed``) instead of crashing the
-table, and an optional journal checkpoints every completed delivery so a
-killed run resumes where it stopped (recorded in the run manifest).
+table.  A killed run resumes from the engine's response cache: a rerun over
+the same cache serves every completion already delivered as a hit and
+delivers only the remainder.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,10 +35,9 @@ from repro.core.triples import LabeledTriple
 from repro.llm.client import ChatClient
 from repro.llm.prompts import PromptVariant, render_prompt
 from repro.metrics.agreement import fleiss_kappa
-from repro.obs.manifest import set_context
 from repro.obs.progress import StageProgress
-from repro.obs.trace import get_tracer, span
-from repro.resilience.checkpoint import CheckpointAbort, Journal
+from repro.obs.trace import span
+from repro.resilience.checkpoint import CheckpointAbort
 from repro.text.tokenizer import ChemTokenizer
 from repro.utils.rng import SeedLike, derive_rng
 
@@ -47,9 +46,6 @@ if TYPE_CHECKING:  # imported lazily at run time to keep the module light
 
 #: Parse outcomes.
 TRUE, FALSE, UNCLASSIFIED = "true", "false", "unclassified"
-
-#: Delivery outcome for a permanently failed completion (scored unclassified).
-FAILED = "failed"
 
 _TRUE_RE = re.compile(r"\btrue\b", re.IGNORECASE)
 _FALSE_RE = re.compile(r"\bfalse\b", re.IGNORECASE)
@@ -110,8 +106,10 @@ class ICLResult:
     f1_sd: float
     kappa: float
     #: Deliveries that permanently failed (after retries) and degraded into
-    #: the unclassified bucket, and deliveries served from a resume journal.
+    #: the unclassified bucket.
     n_failed: int = 0
+    #: Unused: always 0 since a killed run resumes from the response cache.
+    #: Kept only because ``e2ebench/paper.py`` digests every field.
     n_resumed: int = 0
 
     def as_row(self) -> dict:
@@ -212,7 +210,6 @@ def run_icl_experiment(
     variant: PromptVariant = PromptVariant.BASE,
     config: Optional[ICLConfig] = None,
     *,
-    journal: Optional[Union[Journal, str, Path]] = None,
     max_deliveries: Optional[int] = None,
     engine: Optional["DeliveryEngine"] = None,
 ) -> ICLResult:
@@ -229,12 +226,13 @@ def run_icl_experiment(
     ``(prompt, repeat)``, the table does not depend on the engine's jobs
     or backends.
 
-    ``journal`` (a path or :class:`~repro.resilience.checkpoint.Journal`)
-    checkpoints every finished delivery from the engine's worker thread; on
-    restart, journaled deliveries are not requested again and the resume is
-    recorded in the run manifest.  ``max_deliveries`` stops the run with
+    ``max_deliveries`` stops the run with
     :class:`~repro.resilience.checkpoint.CheckpointAbort` after that many
-    *new* deliveries — the controlled kill used to exercise resume.
+    *new* deliveries — the controlled kill used to exercise resume.  An
+    engine with a :class:`~repro.delivery.cache.ResponseCache` has already
+    fsynced every successful completion, so a rerun over the same cache
+    serves them as hits and delivers only the remainder; failed deliveries
+    are not cached and are asked again.
     """
     from repro.delivery import (
         DeliveryBackend,
@@ -269,53 +267,17 @@ def run_icl_experiment(
             )
         )
 
-    journal_obj: Optional[Journal] = None
-    owns_journal = False
-    completed: Dict[str, object] = {}
-    if journal is not None:
-        journal_obj = journal if isinstance(journal, Journal) else Journal(journal)
-        owns_journal = journal_obj is not journal
-        completed = journal_obj.load()
-        meta = {
-            "model": client.name,
-            "variant": variant.value,
-            "queries": len(queries),
-            "repeats": config.n_repeats,
-        }
-        stored_meta = completed.pop("__meta__", None)
-        if stored_meta is not None and stored_meta != meta:
-            raise ValueError(
-                f"journal {journal_obj.path} belongs to a different experiment: "
-                f"{stored_meta!r} != {meta!r}"
-            )
-        if stored_meta is None:
-            journal_obj.record("__meta__", meta)
-        if completed:
-            set_context(
-                resumed=True,
-                resume_journal=str(journal_obj.path),
-                resumed_deliveries=len(completed),
-            )
-            get_tracer().count("icl.resumes")
-
     n_queries = len(queries)
-    pending: List[DeliveryRequest] = []
-    for repeat in range(config.n_repeats):
-        for q_index, prompt in enumerate(prompts):
-            key = f"{repeat}:{q_index}"
-            if key not in completed:
-                pending.append(
-                    DeliveryRequest(
-                        key=key,
-                        prompt=prompt,
-                        repeat=repeat,
-                        index=repeat * n_queries + q_index,
-                    )
-                )
-    n_resumed = config.n_repeats * n_queries - len(pending)
-
-    def value_of(outcome: DeliveryOutcome) -> str:
-        return parse_response(outcome.text) if outcome.ok else FAILED
+    requests = [
+        DeliveryRequest(
+            key=f"{repeat}:{q_index}",
+            prompt=prompt,
+            repeat=repeat,
+            index=repeat * n_queries + q_index,
+        )
+        for repeat in range(config.n_repeats)
+        for q_index, prompt in enumerate(prompts)
+    ]
 
     if engine is None:
         engine = DeliveryEngine([DeliveryBackend(client.name, client)])
@@ -323,57 +285,41 @@ def run_icl_experiment(
     # responses[r][q] in {true, false, unclassified}
     responses: List[List[str]] = []
     n_failed = 0
-    try:
-        with span(
-            "icl.experiment",
-            model=client.name,
-            variant=variant.value,
-            queries=n_queries,
-            repeats=config.n_repeats,
-        ) as sp, StageProgress("icl.experiment", unit="deliveries") as progress:
-            if completed:
-                sp.annotate(resumed=True)
-            if n_resumed:
-                sp.incr("deliveries_resumed", n_resumed)
+    with span(
+        "icl.experiment",
+        model=client.name,
+        variant=variant.value,
+        queries=n_queries,
+        repeats=config.n_repeats,
+    ) as sp, StageProgress("icl.experiment", unit="deliveries") as progress:
 
-            def on_outcome(
-                request: DeliveryRequest, outcome: DeliveryOutcome
-            ) -> None:
-                # Runs on the engine's worker threads: Journal.record is
-                # thread-safe and progress display tolerates racy increments.
-                if journal_obj is not None:
-                    journal_obj.record(request.key, value_of(outcome))
-                progress.advance(1)
+        def on_outcome(request: DeliveryRequest, outcome: DeliveryOutcome) -> None:
+            # Runs on the engine's worker threads; progress display
+            # tolerates racy increments.
+            progress.advance(1)
 
-            report = engine.run(
-                pending, on_outcome=on_outcome, max_deliveries=max_deliveries
+        report = engine.run(
+            requests, on_outcome=on_outcome, max_deliveries=max_deliveries
+        )
+        if report.skipped:
+            raise CheckpointAbort(
+                f"delivery budget of {max_deliveries} reached "
+                f"({report.cache_hits} cached, {report.delivered} delivered, "
+                f"{report.skipped} skipped)",
+                delivered=report.delivered,
             )
-            if report.skipped:
-                raise CheckpointAbort(
-                    f"delivery budget of {max_deliveries} reached "
-                    f"({n_resumed} resumed, {report.delivered} delivered, "
-                    f"{report.skipped} skipped)",
-                    delivered=report.delivered,
-                    journal_path=journal_obj.path if journal_obj else None,
-                )
-            sp.incr("deliveries", report.delivered + report.cache_hits)
-            for repeat in range(config.n_repeats):
-                passes: List[str] = []
-                for q_index in range(n_queries):
-                    key = f"{repeat}:{q_index}"
-                    if key in completed:
-                        value = completed[key]
-                    else:
-                        value = value_of(report.outcomes[key])
-                    if value == FAILED:
-                        n_failed += 1
-                        sp.incr("deliveries_failed")
-                        value = UNCLASSIFIED
-                    passes.append(value)
-                responses.append(passes)
-    finally:
-        if owns_journal and journal_obj is not None:
-            journal_obj.close()
+        sp.incr("deliveries", report.delivered + report.cache_hits)
+        for repeat in range(config.n_repeats):
+            passes: List[str] = []
+            for q_index in range(n_queries):
+                outcome = report.outcomes[f"{repeat}:{q_index}"]
+                if outcome.ok:
+                    passes.append(parse_response(outcome.text))
+                else:
+                    n_failed += 1
+                    sp.incr("deliveries_failed")
+                    passes.append(UNCLASSIFIED)
+            responses.append(passes)
 
     accuracies, precisions, recalls, f1s = [], [], [], []
     n_unclassified = 0
@@ -426,7 +372,6 @@ def run_icl_experiment(
         f1_sd=f1_s,
         kappa=kappa,
         n_failed=n_failed,
-        n_resumed=n_resumed,
     )
 
 
@@ -439,5 +384,4 @@ __all__ = [
     "TRUE",
     "FALSE",
     "UNCLASSIFIED",
-    "FAILED",
 ]

@@ -11,10 +11,9 @@ Three layers, composable and deterministic:
   inject timeouts, 429/500s, malformed bodies and corrupted completions at
   deterministic rates, so every retry path is testable offline;
 * :mod:`repro.resilience.checkpoint` — :class:`Journal` (append-only,
-  fsynced, torn-tail-tolerant) lets the ICL protocol and benchmark tables
-  resume after a kill without recomputing completed deliveries; its
-  segments are also the on-disk format of the completion cache
-  (:class:`~repro.delivery.cache.ResponseCache`).
+  fsynced, torn-tail-tolerant) is the on-disk format of the completion
+  cache (:class:`~repro.delivery.cache.ResponseCache`), which lets a killed
+  ICL run resume without re-asking a completed delivery.
 
 The spec grammar accepted by ``FaultPlan.parse`` (and the CLI ``--faults``
 flag) is ``kind:rate[,kind:rate...]``, e.g. ``timeout:0.1,http500:0.05``.

@@ -1,20 +1,18 @@
-"""Checkpoint/resume for long-running delivery loops.
+"""The crash-safe record log behind kill-and-resume.
 
 A :class:`Journal` is an append-only JSONL file of ``{"key", "value"}``
-records, one per completed unit of work (for the ICL protocol: one
-``repeat:query`` delivery outcome).  Each record is flushed and fsynced as
-it is written, so a killed run loses at most the delivery in flight;
-:meth:`Journal.load` tolerates a truncated final line, which is exactly
-what a crash mid-append leaves behind.
+records, one per completed unit of work.  Each record is flushed and
+fsynced as it is written, so a killed run loses at most the work in
+flight; :meth:`Journal.load` tolerates a truncated final line, which is
+exactly what a crash mid-append leaves behind.
 
-A restarted run loads the journal, skips every journaled unit, and only
-delivers the remainder — see ``run_icl_experiment(journal=...)`` — with the
-resume recorded in the run manifest (``resumed: true``).  The same record
-format backs the completion cache: each
+Journals are the on-disk format of the completion cache: each
 :class:`~repro.delivery.cache.ResponseCache` writer appends to its own
-journal segment.
-:class:`CheckpointAbort` is the controlled mid-run stop used by the
-``--max-deliveries`` budget to demonstrate (and test) kill-and-resume.
+journal segment, one record per successful completion.  A restarted ICL
+run over the same cache serves every recorded completion as a hit and only
+delivers the remainder.  :class:`CheckpointAbort` is the controlled mid-run
+stop used by the ``--max-deliveries`` budget to demonstrate (and test)
+kill-and-resume.
 """
 
 from __future__ import annotations
@@ -23,24 +21,17 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Tuple, Union
 
 PathLike = Union[str, Path]
 
 
 class CheckpointAbort(RuntimeError):
-    """A run stopped early on purpose; the journal holds completed work."""
+    """A run stopped early on purpose; the response cache holds completed work."""
 
-    def __init__(
-        self,
-        message: str,
-        *,
-        delivered: int = 0,
-        journal_path: Optional[PathLike] = None,
-    ):
+    def __init__(self, message: str, *, delivered: int = 0):
         super().__init__(message)
         self.delivered = delivered
-        self.journal_path = str(journal_path) if journal_path is not None else None
 
 
 class Journal:
@@ -112,7 +103,7 @@ class Journal:
 
         Thread-safe: concurrent delivery workers append whole records in
         some order; :meth:`load` replays them into a key-value map, so the
-        append order never affects a resumed run's results.
+        append order never affects what a reader sees.
         """
         line = json.dumps(
             {"key": key, "value": value}, separators=(",", ":"), sort_keys=True
@@ -129,14 +120,6 @@ class Journal:
             if self._handle is not None:
                 self._handle.close()
                 self._handle = None
-
-    def wipe(self) -> None:
-        """Delete the journal file (start the work from scratch)."""
-        self.close()
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
 
     def __enter__(self) -> "Journal":
         return self

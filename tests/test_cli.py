@@ -37,15 +37,10 @@ class TestParser:
 
     def test_icl_resilience_defaults(self):
         args = build_parser().parse_args(["icl"])
-        assert args.journal is None
-        assert args.resume is False
+        assert args.cache is None
         assert args.faults is None
         assert args.max_deliveries is None
         assert args.output is None
-
-    def test_resume_requires_journal_argument(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["resume"])
 
     def test_cache_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -143,67 +138,24 @@ class TestICLResilience:
     def test_kill_and_resume_round_trip(self, tmp_path, capsys):
         base = tmp_path / "base.txt"
         resumed = tmp_path / "resumed.txt"
-        journal = tmp_path / "icl.journal.jsonl"
+        cache = tmp_path / "cache"
         assert main(ICL_ARGS + ["--output", str(base)]) == 0
 
         code = main(ICL_ARGS + [
-            "--journal", str(journal), "--max-deliveries", "60",
+            "--cache", str(cache), "--max-deliveries", "60",
         ])
         assert code == 3
         captured = capsys.readouterr()
-        assert "rerun with --resume" in captured.err
-
-        assert main(["resume", str(journal)]) == 0
-        out = capsys.readouterr().out
-        assert "progress: 60/" in out
+        assert "rerun with the same --cache" in captured.err
 
         code = main(ICL_ARGS + [
-            "--journal", str(journal), "--resume", "--output", str(resumed),
+            "--cache", str(cache), "--output", str(resumed),
         ])
         assert code == 0
         captured = capsys.readouterr()
-        assert "resumed 60 deliveries" in captured.err
+        assert "cache_hit=60" in captured.err
+        assert "deliveries=440" in captured.err
         assert base.read_text() == resumed.read_text()
-
-    def test_journal_without_resume_starts_fresh(self, tmp_path, capsys):
-        journal = tmp_path / "icl.journal.jsonl"
-        assert main(ICL_ARGS + [
-            "--journal", str(journal), "--max-deliveries", "10",
-        ]) == 3
-        # No --resume: the stale journal is wiped and the budget hits again.
-        assert main(ICL_ARGS + [
-            "--journal", str(journal), "--max-deliveries", "10",
-        ]) == 3
-        capsys.readouterr()
-        assert main(["resume", str(journal)]) == 0
-        assert "progress: 10/" in capsys.readouterr().out
-
-
-class TestResumeCommand:
-    def test_missing_journal_is_clean_error(self, tmp_path, capsys):
-        assert main(["resume", str(tmp_path / "absent.jsonl")]) == 1
-        captured = capsys.readouterr()
-        assert "empty or missing" in captured.err
-        assert "Traceback" not in captured.err
-
-    def test_summarises_outcomes(self, tmp_path, capsys):
-        from repro.resilience.checkpoint import Journal
-
-        path = tmp_path / "j.jsonl"
-        with Journal(path) as journal:
-            journal.record(
-                "__meta__",
-                {"model": "m", "variant": 1, "queries": 4, "repeats": 2},
-            )
-            journal.record("0:0", "true")
-            journal.record("0:1", "false")
-            journal.record("0:2", "failed")
-        assert main(["resume", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "progress: 3/8" in out
-        assert "true: 1" in out
-        assert "failed: 1" in out
-        assert "permanent failures" in out
 
 
 class TestTraceCommand:
@@ -244,12 +196,8 @@ class TestTraceCommand:
         from repro.cli import render_manifest
 
         manifest = {
-            "context": {
-                "resumed": True,
-                "resume_journal": "/tmp/icl.journal.jsonl",
-                "resumed_deliveries": 60,
-            },
             "counters": {
+                "delivery.cache_hit": 60,
                 "retry.retries": 7,
                 "faults.injected.timeout": 4,
                 "icl.experiment.deliveries_failed": 2,
@@ -259,7 +207,7 @@ class TestTraceCommand:
         }
         out = render_manifest(manifest)
         assert "resilience" in out
-        assert "resumed: true (60 deliveries from /tmp/icl.journal.jsonl)" in out
+        assert "delivery.cache_hit: 60" in out
         assert "retry.retries: 7" in out
         assert "faults.injected.timeout: 4" in out
         assert "icl.experiment.deliveries_failed: 2" in out

@@ -228,21 +228,27 @@ class TestEngineMatchesSequential:
 
     def test_kill_and_resume_matches_sequential(self, icl_setup, tmp_path):
         sequential = _sequential_result(icl_setup)
-        journal = tmp_path / "icl.journal"
+        killed_cache = ResponseCache(tmp_path)
         with DeliveryEngine(
-            _backends(icl_setup, n=3), DeliveryConfig(jobs=4)
+            _backends(icl_setup, n=3), DeliveryConfig(jobs=4),
+            cache=killed_cache,
         ) as engine:
             with pytest.raises(CheckpointAbort) as abort:
-                _engine_result(
-                    icl_setup, engine, journal=journal, max_deliveries=5
-                )
+                _engine_result(icl_setup, engine, max_deliveries=5)
+        killed_cache.close()
         assert abort.value.delivered == 5
-        assert len(Journal(journal).load()) == 5 + 1  # + __meta__
+        (segment,) = (tmp_path / "llm-response").glob("*.jsonl")
+        assert len(Journal(segment).load()) == 5
+        resumed_cache = ResponseCache(tmp_path)
         with DeliveryEngine(
-            _backends(icl_setup, n=3), DeliveryConfig(jobs=4)
+            _backends(icl_setup, n=3), DeliveryConfig(jobs=4),
+            cache=resumed_cache,
         ) as engine:
-            resumed = _engine_result(icl_setup, engine, journal=journal)
-        assert resumed.n_resumed == 5
+            resumed = _engine_result(icl_setup, engine)
+            counters = engine.counters()
+        resumed_cache.close()
+        assert counters["cache_hit"] == 5
+        assert counters["deliveries"] == 16 - 5
         assert resumed.as_row() == sequential.as_row()
 
     def test_warm_cache_rerun_rebuilds_nothing(self, icl_setup, tmp_path):

@@ -128,18 +128,37 @@ class TestResponseCache:
 
     def test_torn_last_record_is_a_miss(self, tmp_path, open_cache):
         root = tmp_path / "cache"
-        cache = open_cache(root)
+        writer = open_cache(root)
         for repeat in range(3):
-            cache.put("gpt-4", "prompt", repeat, f"answer {repeat}")
+            writer.put("gpt-4", "prompt", repeat, f"answer {repeat}")
+        writer.close()
         (segment,) = self._segments(root)
         data = segment.read_bytes()
-        last_start = data.rstrip(b"\n").rfind(b"\n") + 1
-        # Cut the final record in the middle, as a crash mid-append would.
-        segment.write_bytes(data[: last_start + (len(data) - last_start) // 2])
-        reopened = open_cache(root)
-        assert reopened.get("gpt-4", "prompt", 0) == "answer 0"
-        assert reopened.get("gpt-4", "prompt", 1) == "answer 1"
-        assert reopened.get("gpt-4", "prompt", 2) is None
+        # A record is whole once its JSON is; losing only the newline is not
+        # a loss.
+        ends = [offset for offset, byte in enumerate(data) if byte == 0x0A]
+        assert len(ends) == 3
+        # A crash may cut the segment at any byte.
+        for cut in range(len(data) + 1):
+            for extra in self._segments(root):
+                if extra != segment:
+                    extra.unlink()
+            segment.write_bytes(data[:cut])
+            whole = sum(1 for end in ends if end <= cut)
+            reopened = ResponseCache(root)
+            try:
+                served = [reopened.get("gpt-4", "prompt", r) for r in range(3)]
+                reopened.put("gpt-4", "prompt", 3, "answer 3")
+            finally:
+                reopened.close()
+            expected = [f"answer {r}" for r in range(whole)]
+            assert served == expected + [None] * (3 - whole), cut
+            # The put went to a fresh segment, which a third instance reads.
+            assert segment.read_bytes() == data[:cut], cut
+            assert len(self._segments(root)) == 2, cut
+            reader = ResponseCache(root)
+            read = [reader.get("gpt-4", "prompt", r) for r in range(4)]
+            assert read == served + ["answer 3"], cut
 
     @staticmethod
     def _run_threads(target, n_threads):

@@ -7,7 +7,8 @@ loop, before every delivery went through
 :class:`~repro.delivery.engine.DeliveryEngine`, and are the reference the
 engine path must reproduce: all three simulated models under all three
 prompt variants, a run killed after 37 deliveries and resumed from its
-journal, and a run under retried error faults.
+response cache (which must equal the uninterrupted run), and a run under
+retried error faults.
 """
 
 import dataclasses
@@ -17,7 +18,7 @@ import json
 import pytest
 
 from repro.core.datasets import train_test_split_9_1
-from repro.delivery import DeliveryBackend, DeliveryEngine
+from repro.delivery import DeliveryBackend, DeliveryEngine, ResponseCache
 from repro.llm.icl import ICLConfig, build_icl_queries, run_icl_experiment
 from repro.llm.prompts import PromptVariant
 from repro.llm.simulated import (
@@ -27,7 +28,6 @@ from repro.llm.simulated import (
     SimulatedChatModel,
     truth_table,
 )
-from repro.obs.manifest import clear_context
 from repro.resilience.checkpoint import CheckpointAbort
 from repro.resilience.faults import FaultClock, FaultPlan, FaultyClient
 from repro.resilience.retry import RetryPolicy
@@ -57,9 +57,6 @@ GOLDEN = {
     ("biogpt", 3): "50fe1867e564dd693a34a492aa8c0dd30bab76711f479349613a0d46fad6a4b3",
 }
 
-#: GPT-4, variant #1, killed after 37 deliveries and resumed (n_resumed=37).
-GOLDEN_RESUMED = "54c89d37dd6d3592375f80d493ab331b857eaa677809047429549a621dda02fb"
-
 
 def result_digest(result):
     row = dataclasses.asdict(result)
@@ -75,14 +72,6 @@ def icl_inputs(task1_dataset):
         "queries": build_icl_queries(task1_dataset, SMALL),
         "truth": truth_table(task1_dataset),
     }
-
-
-@pytest.fixture(autouse=True)
-def _clean_run_context():
-    """Resumed runs write process-global manifest context; isolate tests."""
-    clear_context()
-    yield
-    clear_context()
 
 
 def run(icl_inputs, client, variant=PromptVariant.BASE, **kwargs):
@@ -104,13 +93,22 @@ def test_table5_cell_matches_golden(icl_inputs, model, variant):
 
 
 def test_kill_at_37_and_resume_matches_golden(icl_inputs, tmp_path):
-    journal = tmp_path / "icl.jsonl"
+    def run_cached(**kwargs):
+        client = gpt4(icl_inputs)
+        cache = ResponseCache(tmp_path)
+        engine = DeliveryEngine(
+            [DeliveryBackend(client.name, client)], cache=cache
+        )
+        try:
+            return run(icl_inputs, client, engine=engine, **kwargs)
+        finally:
+            cache.close()
+
     with pytest.raises(CheckpointAbort) as abort:
-        run(icl_inputs, gpt4(icl_inputs), journal=journal, max_deliveries=37)
+        run_cached(max_deliveries=37)
     assert abort.value.delivered == 37
-    resumed = run(icl_inputs, gpt4(icl_inputs), journal=journal)
-    assert resumed.n_resumed == 37
-    assert result_digest(resumed) == GOLDEN_RESUMED, resumed
+    resumed = run_cached()
+    assert result_digest(resumed) == GOLDEN[("gpt-4", 1)], resumed
 
 
 def test_retried_error_faults_match_golden(icl_inputs):

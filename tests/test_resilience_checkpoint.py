@@ -1,11 +1,16 @@
-"""Tests for the checkpoint journal and ICL kill-and-resume behaviour."""
+"""Tests for the checkpoint journal and ICL kill-and-resume behaviour.
+
+A killed ICL run resumes from its response cache: every successful
+completion is a fsynced journal record, so a rerun over the same cache
+serves those as hits and delivers only the remainder.
+"""
 
 import json
 
 import pytest
 
 from repro.core.datasets import train_test_split_9_1
-from repro.delivery import DeliveryBackend, DeliveryEngine
+from repro.delivery import DeliveryBackend, DeliveryEngine, ResponseCache
 from repro.llm.client import ChatClient, ChatClientError, EchoClient
 from repro.llm.icl import (
     ICLConfig,
@@ -14,7 +19,6 @@ from repro.llm.icl import (
 )
 from repro.llm.prompts import PromptVariant
 from repro.llm.simulated import GPT4_PROFILE, SimulatedChatModel, truth_table
-from repro.obs.manifest import build_manifest, clear_context
 from repro.resilience.checkpoint import CheckpointAbort, Journal
 from repro.resilience.faults import FaultClock, FaultPlan, FaultyClient
 from repro.resilience.retry import RetryPolicy
@@ -25,14 +29,6 @@ SMALL = ICLConfig(
     n_repeats=3,
     seed=0,
 )
-
-
-@pytest.fixture(autouse=True)
-def _clean_run_context():
-    """Resume runs write process-global manifest context; isolate tests."""
-    clear_context()
-    yield
-    clear_context()
 
 
 class CountingClient(ChatClient):
@@ -108,15 +104,6 @@ class TestJournal:
             handle.write(json.dumps({"key": "b", "value": 2}) + "\n")
         assert Journal(path).load() == {"a": 1}
 
-    def test_wipe(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        journal = Journal(path)
-        journal.record("a", 1)
-        journal.wipe()
-        assert not path.exists()
-        assert journal.load() == {}
-        journal.wipe()  # idempotent
-
     def test_creates_parent_directories(self, tmp_path):
         path = tmp_path / "deep" / "nested" / "j.jsonl"
         with Journal(path) as journal:
@@ -124,25 +111,47 @@ class TestJournal:
         assert Journal(path).load() == {"a": 1}
 
 
-class TestICLCheckpointResume:
-    def run(self, client, dataset, **kwargs):
-        split = train_test_split_9_1(dataset, seed=0)
-        queries = build_icl_queries(dataset, SMALL)
+def _run(client, dataset, cache_dir=None, **kwargs):
+    """The small protocol over ``client``; with ``cache_dir``, through a
+    one-backend engine whose response cache lives there."""
+    split = train_test_split_9_1(dataset, seed=0)
+    queries = build_icl_queries(dataset, SMALL)
+    if cache_dir is not None:
+        cache = ResponseCache(cache_dir)
+        kwargs["engine"] = DeliveryEngine(
+            [DeliveryBackend(client.name, client)], cache=cache
+        )
+    try:
         return run_icl_experiment(
             client, list(split.train), queries, PromptVariant.BASE, SMALL,
             **kwargs,
         )
+    finally:
+        if cache_dir is not None:
+            cache.close()
+
+
+def _segment_sizes(cache_dir):
+    """Record count of each response-cache segment under ``cache_dir``."""
+    return [
+        len(Journal(segment).load())
+        for segment in (cache_dir / "llm-response").glob("*.jsonl")
+    ]
+
+
+class TestICLCheckpointResume:
+    def run(self, client, dataset, **kwargs):
+        return _run(client, dataset, **kwargs)
 
     def test_completed_journal_skips_every_delivery(self, tmp_path, task1_dataset):
-        journal = tmp_path / "icl.jsonl"
         first = CountingClient()
-        self.run(first, task1_dataset, journal=journal)
+        self.run(first, task1_dataset, cache_dir=tmp_path)
         assert first.completions == 90
 
         second = CountingClient()
-        result = self.run(second, task1_dataset, journal=journal)
+        result = self.run(second, task1_dataset, cache_dir=tmp_path)
         assert second.completions == 0
-        assert result.n_resumed == 90
+        assert result.n_resumed == 0  # unused field, kept for digests
 
     def test_kill_and_resume_matches_uninterrupted(self, tmp_path, task1_dataset):
         client = SimulatedChatModel(
@@ -150,56 +159,30 @@ class TestICLCheckpointResume:
         )
         baseline = self.run(client, task1_dataset)
 
-        journal = tmp_path / "icl.jsonl"
         killed = SimulatedChatModel(
             GPT4_PROFILE, truth_table(task1_dataset), 1, seed=0
         )
         with pytest.raises(CheckpointAbort) as exc:
-            self.run(killed, task1_dataset, journal=journal, max_deliveries=37)
+            self.run(killed, task1_dataset, cache_dir=tmp_path,
+                     max_deliveries=37)
         assert exc.value.delivered == 37
-        assert exc.value.journal_path == str(journal)
+        assert _segment_sizes(tmp_path) == [37]
 
         resumed_client = SimulatedChatModel(
             GPT4_PROFILE, truth_table(task1_dataset), 1, seed=0
         )
-        resumed = self.run(resumed_client, task1_dataset, journal=journal)
-        assert resumed.n_resumed == 37
+        resumed = self.run(resumed_client, task1_dataset, cache_dir=tmp_path)
+        # The rerun appended only the 53 deliveries the kill left undone.
+        assert sorted(_segment_sizes(tmp_path)) == [37, 90 - 37]
         assert resumed.accuracy_mean == baseline.accuracy_mean
         assert resumed.kappa == baseline.kappa
         assert resumed.f1_mean == baseline.f1_mean
         assert resumed.n_unclassified == baseline.n_unclassified
 
-    def test_mismatched_journal_rejected(self, tmp_path, task1_dataset):
-        journal = tmp_path / "icl.jsonl"
-        self.run(EchoClient("True"), task1_dataset, journal=journal)
-        with pytest.raises(ValueError, match="different experiment"):
-            self.run(CountingClient(), task1_dataset, journal=journal)
-
-    def test_resume_recorded_in_manifest_context(self, tmp_path, task1_dataset):
-        journal = tmp_path / "icl.jsonl"
-        with pytest.raises(CheckpointAbort):
-            self.run(CountingClient(), task1_dataset, journal=journal,
-                     max_deliveries=10)
-        self.run(CountingClient(), task1_dataset, journal=journal)
-        context = build_manifest()["context"]
-        assert context["resumed"] is True
-        assert context["resumed_deliveries"] == 10
-        assert context["resume_journal"] == str(journal)
-
-    def test_fresh_run_leaves_no_resume_context(self, tmp_path, task1_dataset):
-        self.run(CountingClient(), task1_dataset,
-                 journal=tmp_path / "icl.jsonl")
-        assert "resumed" not in build_manifest()["context"]
-
 
 class TestGracefulDegradation:
     def run(self, client, dataset, **kwargs):
-        split = train_test_split_9_1(dataset, seed=0)
-        queries = build_icl_queries(dataset, SMALL)
-        return run_icl_experiment(
-            client, list(split.train), queries, PromptVariant.BASE, SMALL,
-            **kwargs,
-        )
+        return _run(client, dataset, **kwargs)
 
     def test_dead_endpoint_degrades_not_crashes(self, task1_dataset):
         result = self.run(FailingClient(), task1_dataset)
@@ -207,16 +190,17 @@ class TestGracefulDegradation:
         assert result.n_unclassified == 90
         assert result.accuracy_mean == 0.0
 
-    def test_failed_outcomes_survive_resume(self, tmp_path, task1_dataset):
-        journal = tmp_path / "icl.jsonl"
+    def test_failed_deliveries_are_reasked_on_resume(
+        self, tmp_path, task1_dataset
+    ):
         with pytest.raises(CheckpointAbort):
-            self.run(FailingClient(), task1_dataset, journal=journal,
+            self.run(FailingClient(), task1_dataset, cache_dir=tmp_path,
                      max_deliveries=20)
-        # The healed endpoint answers the rest; journaled failures persist.
+        # Failures are never cached: the healed endpoint answers all 90.
         result = self.run(FailingClient(healthy=True), task1_dataset,
-                          journal=journal)
-        assert result.n_resumed == 20
-        assert result.n_failed == 20
+                          cache_dir=tmp_path)
+        assert result.n_failed == 0
+        assert result.n_unclassified == 0
 
     def test_error_faults_with_retry_are_invisible(self, task1_dataset):
         """Retryable injected faults leave the table byte-identical."""
