@@ -339,6 +339,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_icl(args: argparse.Namespace) -> int:
+    from contextlib import nullcontext
+
     from repro.delivery import (
         DeliveryConfig,
         DeliveryEngine,
@@ -349,6 +351,13 @@ def cmd_icl(args: argparse.Namespace) -> int:
     from repro.resilience.faults import FaultClock, FaultPlan, FaultyClient
     from repro.resilience.retry import RetryPolicy
 
+    if args.max_deliveries is not None and not args.cache:
+        print(
+            "error: --max-deliveries needs --cache DIR: a stopped run keeps "
+            "its paid deliveries only in a response cache",
+            file=sys.stderr,
+        )
+        return 2
     lab = _small_lab(args)
     dataset = lab.dataset(args.task)
     split = train_test_split_9_1(dataset, seed=args.seed)
@@ -369,6 +378,7 @@ def cmd_icl(args: argparse.Namespace) -> int:
         fault_plan_text=args.faults, fault_seed=args.fault_seed,
         retry=retry,
     )
+    cache = ResponseCache(args.cache) if args.cache else None
     engine = DeliveryEngine(
         backends,
         DeliveryConfig(
@@ -377,26 +387,23 @@ def cmd_icl(args: argparse.Namespace) -> int:
                 args.deadline_ms / 1000.0 if args.deadline_ms is not None else None
             ),
         ),
-        cache=ResponseCache(args.cache) if args.cache else None,
+        cache=cache,
     )
     variant = PromptVariant(args.variant)
-    try:
-        result = run_icl_experiment(
-            backends[0].client, list(split.train), queries, variant, config,
-            max_deliveries=args.max_deliveries, engine=engine,
-        )
-    except CheckpointAbort as abort:
-        print(f"stopped: {abort}", file=sys.stderr)
-        if args.cache:
+    with cache if cache is not None else nullcontext():
+        try:
+            result = run_icl_experiment(
+                backends[0].client, list(split.train), queries, variant, config,
+                max_deliveries=args.max_deliveries, engine=engine,
+            )
+        except CheckpointAbort as abort:
+            print(f"stopped: {abort}", file=sys.stderr)
             print(
                 f"cache {args.cache} holds the completed deliveries; "
                 f"rerun with the same --cache to continue",
                 file=sys.stderr,
             )
-        return 3
-    finally:
-        if engine.cache is not None:
-            engine.cache.close()
+            return 3
     table = Table(
         f"ICL protocol: {args.model}, variant #{args.variant}, task {args.task}",
         ["accuracy", "unclassified", "failed", "precision", "recall", "F1",
@@ -756,8 +763,8 @@ def build_parser() -> argparse.ArgumentParser:
     icl.add_argument("--fault-seed", type=int, default=0, dest="fault_seed")
     icl.add_argument(
         "--max-deliveries", type=int, default=None, dest="max_deliveries",
-        help="stop (exit 3) after this many fresh deliveries; rerun with "
-        "the same --cache to continue",
+        help="stop (exit 3) after this many fresh deliveries; needs "
+        "--cache, and a rerun with the same --cache continues",
     )
     icl.add_argument(
         "--jobs", type=int, default=1,
@@ -911,7 +918,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--flow", action="store_true",
-        help="run the whole-program flow rules (FLOW001-004/GRAPH001) "
+        help="run the whole-program flow rules (FLOW001-004) "
         "even when --rules narrows the per-file selection; flow rules "
         "are part of the default run",
     )

@@ -102,5 +102,11 @@ class ResponseCache:
         if self._segment is not None:
             self._segment.close()
 
+    def __enter__(self) -> "ResponseCache":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
 
 __all__ = ["ResponseCache"]

@@ -26,12 +26,19 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple
 
 #: The slice of LabConfig a stage's output depends on, as an ordered tuple.
+#: It is hashed into the stage's cache key, so it must cover every LabConfig
+#: field the builder reads (through ``lab.config``, ``lab.rf_config()`` or
+#: ``lab.ft_config()``); a field read outside it lets a warm store serve a
+#: stale artifact.
 ConfigSlice = Callable[[Any], Tuple]
 
 #: Builds the artifact.  Receives the owning Lab (for config access and
 #: helper constructors) and the dict of dependency artifacts keyed by stage
-#: name.  Builders must consume upstream artifacts through ``inputs`` only,
-#: so the declared dependencies stay honest.
+#: name.  The contract: config reads stay within the stage's
+#: ``config_slice``, ``inputs`` reads stay within its ``deps``, and every
+#: declared dep is read by the builder or the loader.
+#: ``tests/test_pipeline_graph.py::TestStageContract`` builds every stage of
+#: the Lab graph with recording proxies and enforces all three.
 Builder = Callable[[Any, Dict[str, Any]], Any]
 
 #: Persists the artifact into an (empty, private) store entry directory.

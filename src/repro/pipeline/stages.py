@@ -309,8 +309,11 @@ def _build_random_embedding(lab, inputs):
 
 
 def _glove_config(config) -> GloVeConfig:
-    """Shared by the GloVe/GloVe-Chem builders and their co-occurrence
-    shard sub-stages, so both sides agree on window and min_count."""
+    """Shared by the GloVe/GloVe-Chem builders and the GloVe-Chem shards.
+
+    The ``glove-cooccur`` shards have an empty config slice, so they build
+    their own config from the two fields they use, the class-default
+    ``window`` and ``EMBEDDING_MIN_COUNT``, which this one shares."""
     return GloVeConfig(
         dim=config.embedding_dim,
         epochs=config.glove_epochs,
@@ -320,7 +323,8 @@ def _glove_config(config) -> GloVeConfig:
 
 
 def _w2v_config(config) -> Word2VecConfig:
-    """Shared by the W2V-Chem builder and its pair-stream sub-stages."""
+    """The W2V-Chem builder's config.  Its pair-stream shards use only the
+    class-default ``window``, ``EMBEDDING_MIN_COUNT`` and ``seed``."""
     return Word2VecConfig(
         dim=config.embedding_dim,
         epochs=config.embedding_epochs,
@@ -339,7 +343,7 @@ def _merged_cooccurrence(inputs, prefix: str, vocab_size: int):
 
 def _build_glove_cooccur_shard(shard: int, lab, inputs):
     sentences = inputs["corpus-generic"]
-    config = _glove_config(lab.config)
+    config = GloVeConfig(min_count=EMBEDDING_MIN_COUNT)
     vocabulary = build_vocabulary(sentences, min_count=config.min_count)
     sentence_ids = sentences_to_ids(sentences, vocabulary)
     start, stop = shard_bounds(len(sentence_ids), EMBEDDING_SHARDS)[shard]
@@ -363,7 +367,7 @@ def _build_glove_chem_cooccur_shard(shard: int, lab, inputs):
 
 def _build_w2v_pairs_shard(shard: int, lab, inputs):
     sentences = inputs["corpus-chemistry"]
-    config = _w2v_config(lab.config)
+    config = Word2VecConfig(min_count=EMBEDDING_MIN_COUNT, seed=lab.config.seed)
     vocabulary = build_vocabulary(sentences, min_count=config.min_count)
     sentence_ids = sentences_to_ids(sentences, vocabulary)
     return pair_shard_arrays(

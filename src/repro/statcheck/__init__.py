@@ -10,10 +10,10 @@ Two layers:
 
 * per-file rules (DET/PUR/CONC/RES/OBS/SRV/PERF) walk one parsed file;
 * whole-program *flow* rules (:mod:`repro.statcheck.flow`:
-  FLOW001-004/GRAPH001) build a module-qualified symbol index and a
-  conservative call graph over the full tree, then check seed
-  provenance, exception contracts, resource lifecycles, lock-transfer
-  call sites, and stage-graph conformance interprocedurally.
+  FLOW001-004) build a module-qualified symbol index and a conservative
+  call graph over the full tree, then check seed provenance, exception
+  contracts, resource lifecycles and lock-transfer call sites
+  interprocedurally.
 
 Entry points:
 

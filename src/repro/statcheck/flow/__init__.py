@@ -3,11 +3,10 @@
 The per-file rules answer "is this line suspicious?"; the flow layer
 answers the questions every determinism bug PR 8-9 fixed actually posed —
 *where does this seed come from three calls up?*, *who catches this
-ShedError?*, *does this builder read artifacts its stage never declared?*
-It parses the full tree once (reusing the engine's contexts), builds a
-:class:`ProgramIndex` and a conservative :class:`CallGraph` (Tarjan SCCs
-shared with ``quick.py``), and runs the FLOW001-004/GRAPH001 rules over
-the resulting program.
+ShedError?*  It parses the full tree once (reusing the engine's
+contexts), builds a :class:`ProgramIndex` and a conservative
+:class:`CallGraph` (Tarjan SCCs shared with ``quick.py``), and runs the
+FLOW001-004 rules over the resulting program.
 
 Entry points:
 
@@ -25,12 +24,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.statcheck.findings import Finding, StatcheckError
 from repro.statcheck.flow.callgraph import CallGraph, CallSite
 from repro.statcheck.flow.index import ClassInfo, FunctionInfo, ProgramIndex
-from repro.statcheck.flow.rules_flow import (
-    FLOW_RULE_CLASSES,
-    FlowRule,
-    StageSpec,
-    real_stage_specs,
-)
+from repro.statcheck.flow.rules_flow import FLOW_RULE_CLASSES, FlowRule
 
 #: Flow rule ids, mirrored statically in ``rules.FAMILIES["flow"]``.
 FLOW_RULE_IDS = tuple(cls.id for cls in FLOW_RULE_CLASSES)
@@ -130,12 +124,10 @@ __all__ = [
     "FunctionInfo",
     "ProgramContext",
     "ProgramIndex",
-    "StageSpec",
     "build_program",
     "default_flow_rules",
     "flow_catalog",
     "program_from_sources",
-    "real_stage_specs",
     "run_flow_rules",
     "select_flow_rules",
 ]

@@ -1,6 +1,6 @@
 """Interprocedural dataflow over the call graph.
 
-Three analyses, all *optimistic* (unresolvable facts contribute nothing,
+Two analyses, both *optimistic* (unresolvable facts contribute nothing,
 so findings only come from positively-established flows):
 
 * **may-raise** — which tracked exception classes can escape each
@@ -10,42 +10,18 @@ so findings only come from positively-established flows):
 * **seed provenance** — whether the seed expression feeding an RNG
   consumer traces back to config key material (an attribute/key named
   ``seed``/``*_seed``) or bottoms out in a hard-coded literal, following
-  parameters backwards through every resolved caller;
-* **constant environments** — partial evaluation of builder bodies under
-  the constant bindings a ``functools.partial`` fixes at registration
-  time: f-string keys substitute, statically-decidable branches prune,
-  and ``range()`` loops unroll, so ``inputs[f"dataset-{task}"]`` becomes
-  the literal key the stage graph can be checked against.
+  parameters backwards through every resolved caller.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass
-from typing import (
-    Dict,
-    FrozenSet,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from repro.statcheck.astutil import dotted_name, last_segment, resolve_name
 from repro.statcheck.flow.callgraph import CATCH_ALL, CallGraph, handler_names
 from repro.statcheck.flow.index import FunctionInfo, ProgramIndex
-
-Scalar = Union[int, float, str, bool]
-#: A constant environment value: one scalar, or the set of scalars a
-#: loop variable ranges over.
-EnvValue = Union[Scalar, FrozenSet[Scalar]]
-
-#: Largest key fan-out a multi-valued binding may expand to.
-MAX_EXPANSION = 256
-
 
 # ---------------------------------------------------------------------------
 # may-raise
@@ -383,434 +359,13 @@ def _classify_name(
     return SeedOrigin(SEED_UNKNOWN)
 
 
-# ---------------------------------------------------------------------------
-# constant environments / input reads
-
-
-def module_constants(tree: ast.Module) -> Dict[str, Scalar]:
-    """Top-level ``NAME = <scalar literal>`` bindings of a module."""
-    consts: Dict[str, Scalar] = {}
-    for node in tree.body:
-        if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and isinstance(node.value, ast.Constant)
-            and isinstance(node.value.value, (int, float, str, bool))
-        ):
-            consts[node.targets[0].id] = node.value.value
-    return consts
-
-
-def eval_scalar(
-    node: ast.AST, env: Dict[str, EnvValue]
-) -> Tuple[bool, Optional[Scalar]]:
-    """Evaluate an expression to one scalar under ``env``, if possible."""
-    if isinstance(node, ast.Constant) and isinstance(
-        node.value, (int, float, str, bool)
-    ):
-        return True, node.value
-    if isinstance(node, ast.Name):
-        value = env.get(node.id)
-        if isinstance(value, (int, float, str, bool)):
-            return True, value
-        return False, None
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        ok, value = eval_scalar(node.operand, env)
-        if ok and isinstance(value, (int, float)):
-            return True, -value
-        return False, None
-    if isinstance(node, ast.BinOp) and isinstance(
-        node.op, (ast.Add, ast.Sub, ast.Mult)
-    ):
-        ok_l, left = eval_scalar(node.left, env)
-        ok_r, right = eval_scalar(node.right, env)
-        if ok_l and ok_r:
-            try:
-                if isinstance(node.op, ast.Add):
-                    return True, left + right
-                if isinstance(node.op, ast.Sub):
-                    return True, left - right
-                return True, left * right
-            except TypeError:
-                return False, None
-    return False, None
-
-
-def _always_exits(stmts: Sequence[ast.AST]) -> bool:
-    """Whether a statement block unconditionally leaves the function."""
-    if not stmts:
-        return False
-    last = stmts[-1]
-    if isinstance(last, (ast.Return, ast.Raise)):
-        return True
-    if isinstance(last, ast.If):
-        return bool(last.orelse) and _always_exits(last.body) and (
-            _always_exits(last.orelse)
-        )
-    return False
-
-
-def eval_test(node: ast.AST, env: Dict[str, EnvValue]) -> Optional[bool]:
-    """Truth value of a branch test under ``env``; ``None`` = unknown."""
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
-        inner = eval_test(node.operand, env)
-        return None if inner is None else not inner
-    if isinstance(node, ast.BoolOp):
-        values = [eval_test(value, env) for value in node.values]
-        if isinstance(node.op, ast.And):
-            if any(value is False for value in values):
-                return False
-            if all(value is True for value in values):
-                return True
-            return None
-        if any(value is True for value in values):
-            return True
-        if all(value is False for value in values):
-            return False
-        return None
-    if isinstance(node, ast.Compare) and len(node.ops) == 1:
-        ok_l, left = eval_scalar(node.left, env)
-        if not ok_l:
-            return None
-        op = node.ops[0]
-        right_node = node.comparators[0]
-        if isinstance(op, (ast.Eq, ast.NotEq)):
-            ok_r, right = eval_scalar(right_node, env)
-            if not ok_r:
-                return None
-            return (left == right) if isinstance(op, ast.Eq) else (left != right)
-        if isinstance(op, (ast.In, ast.NotIn)) and isinstance(
-            right_node, (ast.Tuple, ast.List, ast.Set)
-        ):
-            values = []
-            for element in right_node.elts:
-                ok_e, value = eval_scalar(element, env)
-                if not ok_e:
-                    return None
-                values.append(value)
-            return (left in values) if isinstance(op, ast.In) else (
-                left not in values
-            )
-    ok, value = eval_test_scalar(node, env)
-    return value if ok else None
-
-
-def eval_test_scalar(
-    node: ast.AST, env: Dict[str, EnvValue]
-) -> Tuple[bool, Optional[bool]]:
-    ok, value = eval_scalar(node, env)
-    if ok:
-        return True, bool(value)
-    return False, None
-
-
-def _iter_values(
-    node: ast.AST, env: Dict[str, EnvValue]
-) -> Optional[List[Scalar]]:
-    """The (small, constant) value sequence a loop iterates, if static."""
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and (
-        node.func.id == "range"
-    ):
-        bounds = []
-        for arg in node.args:
-            ok, value = eval_scalar(arg, env)
-            if not ok or not isinstance(value, int):
-                return None
-            bounds.append(value)
-        if not 1 <= len(bounds) <= 3:
-            return None
-        values = list(range(*bounds))
-        return values if len(values) <= 64 else None
-    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-        values = []
-        for element in node.elts:
-            ok, value = eval_scalar(element, env)
-            if not ok:
-                return None
-            values.append(value)
-        return values if len(values) <= 64 else None
-    return None
-
-
-@dataclass
-class InputRead:
-    """One ``inputs[...]`` subscript, with its statically-resolved keys."""
-
-    node: ast.AST
-    rel: str
-    #: Fully-resolved key strings, when every part evaluated.
-    keys: Optional[FrozenSet[str]] = None
-    #: Anchored regex over stage names, when some part stayed dynamic.
-    pattern: Optional[str] = None
-
-
-def _format_keys(
-    node: ast.AST, env: Dict[str, EnvValue]
-) -> Tuple[Optional[FrozenSet[str]], Optional[str]]:
-    """Resolve a subscript key expression to keys or a regex pattern."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return frozenset({node.value}), None
-    if isinstance(node, ast.Name):
-        value = env.get(node.id)
-        if isinstance(value, str):
-            return frozenset({value}), None
-        if isinstance(value, frozenset) and all(
-            isinstance(v, str) for v in value
-        ):
-            return value, None
-        return None, None  # unbound name: nothing provable, stay quiet
-    if not isinstance(node, ast.JoinedStr):
-        return None, None
-    # Each part contributes literal text, a set of scalar expansions, or
-    # a wildcard; the cartesian product (capped) gives the keys.
-    parts: List[List[str]] = [[""]]
-    exact = True
-
-    def extend(options: List[str]) -> None:
-        nonlocal parts
-        combined = [
-            prefix + option for prefix in parts[0] for option in options
-        ]
-        if len(combined) > MAX_EXPANSION:
-            raise OverflowError
-        parts[0] = combined
-
-    try:
-        for value in node.values:
-            if isinstance(value, ast.Constant):
-                extend([str(value.value)])
-                continue
-            if isinstance(value, ast.FormattedValue):
-                ok, scalar = eval_scalar(value.value, env)
-                if ok:
-                    extend([str(scalar)])
-                    continue
-                bound = (
-                    env.get(value.value.id)
-                    if isinstance(value.value, ast.Name)
-                    else None
-                )
-                if isinstance(bound, frozenset):
-                    extend(sorted(str(v) for v in bound))
-                    continue
-                exact = False
-                extend(["\0"])  # placeholder for one dynamic part
-                continue
-            return None, None
-    except OverflowError:
-        exact = False
-        parts[0] = parts[0][:1]
-    if exact:
-        return frozenset(parts[0]), None
-    pattern = "^" + ".+".join(
-        re.escape(piece) for piece in parts[0][0].split("\0")
-    ) + "$"
-    return None, pattern
-
-
-def collect_input_reads(
-    fn: FunctionInfo,
-    inputs_param: str,
-    env: Dict[str, EnvValue],
-    index: ProgramIndex,
-    depth: int = 4,
-    _seen: Optional[Set[Tuple[str, str]]] = None,
-) -> List[InputRead]:
-    """Every key ``fn`` reads off its ``inputs_param`` mapping, under the
-    constant environment ``env`` — following constant-decidable branches,
-    unrolling static loops, and descending into same-tree helpers that
-    receive the mapping."""
-    seen = _seen if _seen is not None else set()
-    marker = (fn.key, inputs_param)
-    if marker in seen or depth <= 0:
-        return []
-    seen.add(marker)
-    consts = module_constants(fn.ctx.tree)
-    scope: Dict[str, EnvValue] = {**consts, **env}
-    reads: List[InputRead] = []
-
-    def visit_expr(node: ast.AST, local: Dict[str, EnvValue]) -> None:
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        ):
-            return
-        if (
-            isinstance(node, ast.Subscript)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == inputs_param
-        ):
-            keys, pattern = _format_keys(node.slice, local)
-            if keys is not None or pattern is not None:
-                reads.append(InputRead(node, fn.ctx.rel, keys, pattern))
-            visit_expr(node.slice, local)
-            return
-        if isinstance(
-            node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
-        ):
-            comp_env = dict(local)
-            for generator in node.generators:
-                visit_expr(generator.iter, comp_env)
-                _bind_loop(generator.target, generator.iter, comp_env)
-                for condition in generator.ifs:
-                    visit_expr(condition, comp_env)
-            targets = (
-                [node.key, node.value]
-                if isinstance(node, ast.DictComp)
-                else [node.elt]
-            )
-            for target in targets:
-                visit_expr(target, comp_env)
-            return
-        if isinstance(node, ast.Call):
-            _descend_call(node, local)
-        for child in ast.iter_child_nodes(node):
-            visit_expr(child, local)
-
-    def _bind_loop(
-        target: ast.AST, iterable: ast.AST, local: Dict[str, EnvValue]
-    ) -> None:
-        if not isinstance(target, ast.Name):
-            return
-        values = _iter_values(iterable, local)
-        if values is not None:
-            local[target.id] = frozenset(values)
-        else:
-            local.pop(target.id, None)
-
-    def _descend_call(node: ast.Call, local: Dict[str, EnvValue]) -> None:
-        passes_inputs = any(
-            isinstance(arg, ast.Name) and arg.id == inputs_param
-            for arg in node.args
-        ) or any(
-            isinstance(kw.value, ast.Name) and kw.value.id == inputs_param
-            for kw in node.keywords
-        )
-        if not passes_inputs:
-            return
-        target = resolve_name(node.func, fn.ctx.aliases)
-        callee = index.resolve_dotted(target)
-        if callee is None and isinstance(node.func, ast.Name):
-            callee = index.module_functions.get((fn.module, node.func.id))
-        if not isinstance(callee, FunctionInfo):
-            return
-        callee_env: Dict[str, EnvValue] = {}
-        callee_inputs: Optional[str] = None
-        params = callee.params
-        for param, arg in zip(params, node.args):
-            if isinstance(arg, ast.Name) and arg.id == inputs_param:
-                callee_inputs = param
-                continue
-            ok, value = eval_scalar(arg, local)
-            if ok:
-                callee_env[param] = value
-            elif isinstance(arg, ast.Name) and isinstance(
-                local.get(arg.id), frozenset
-            ):
-                callee_env[param] = local[arg.id]
-        for keyword in node.keywords:
-            if keyword.arg is None:
-                continue
-            if (
-                isinstance(keyword.value, ast.Name)
-                and keyword.value.id == inputs_param
-            ):
-                callee_inputs = keyword.arg
-                continue
-            ok, value = eval_scalar(keyword.value, local)
-            if ok:
-                callee_env[keyword.arg] = value
-        if callee_inputs is None:
-            return
-        reads.extend(
-            collect_input_reads(
-                callee, callee_inputs, callee_env, index,
-                depth - 1, seen,
-            )
-        )
-
-    def visit_stmts(
-        nodes: Sequence[ast.AST], local: Dict[str, EnvValue]
-    ) -> None:
-        for node in nodes:
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                continue
-            if isinstance(node, ast.If):
-                visit_expr(node.test, local)
-                verdict = eval_test(node.test, local)
-                if verdict is True:
-                    visit_stmts(node.body, local)
-                    if _always_exits(node.body):
-                        return  # the taken branch returns: the rest is dead
-                elif verdict is False:
-                    visit_stmts(node.orelse, local)
-                    if node.orelse and _always_exits(node.orelse):
-                        return
-                else:
-                    visit_stmts(node.body, dict(local))
-                    visit_stmts(node.orelse, dict(local))
-                continue
-            if isinstance(node, (ast.Return, ast.Raise)):
-                for child in ast.iter_child_nodes(node):
-                    if isinstance(child, ast.expr):
-                        visit_expr(child, local)
-                return  # statements after an unconditional exit are dead
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                visit_expr(node.iter, local)
-                loop_env = dict(local)
-                _bind_loop(node.target, node.iter, loop_env)
-                visit_stmts(node.body, loop_env)
-                visit_stmts(node.orelse, local)
-                continue
-            if isinstance(node, ast.Assign):
-                visit_expr(node.value, local)
-                ok, value = eval_scalar(node.value, local)
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        if ok:
-                            local[target.id] = value
-                        else:
-                            local.pop(target.id, None)
-                continue
-            if isinstance(node, (ast.While, ast.With, ast.AsyncWith, ast.Try)):
-                for child in ast.iter_child_nodes(node):
-                    if isinstance(child, ast.stmt):
-                        visit_stmts([child], local)
-                    elif isinstance(child, ast.ExceptHandler):
-                        visit_stmts(child.body, local)
-                    elif isinstance(child, ast.withitem):
-                        visit_expr(child.context_expr, local)
-                    elif isinstance(child, ast.expr):
-                        visit_expr(child, local)
-                continue
-            if isinstance(node, ast.expr):
-                visit_expr(node, local)
-                continue
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, ast.stmt):
-                    visit_stmts([child], local)
-                elif isinstance(child, ast.expr):
-                    visit_expr(child, local)
-
-    visit_stmts(list(fn.node.body), scope)
-    return reads
-
-
 __all__ = [
-    "EnvValue",
-    "InputRead",
     "SEED_BAD",
     "SEED_OK",
     "SEED_UNKNOWN",
     "SeedOrigin",
     "classify_seed",
-    "collect_input_reads",
     "compute_may_raise",
-    "eval_scalar",
-    "eval_test",
     "exception_catchers",
     "is_seed_name",
-    "module_constants",
 ]

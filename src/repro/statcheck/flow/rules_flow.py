@@ -1,9 +1,9 @@
-"""The interprocedural rule families: FLOW001-004 and GRAPH001.
+"""The interprocedural rule family: FLOW001-004.
 
 Per-file rules receive a :class:`FileContext`; flow rules receive a
 *program* — ``(contexts, index, graph)`` over the whole analyzed tree —
-and may follow seeds, exceptions, and artifact keys across any number of
-call boundaries.  They stay optimistic everywhere resolution fails:
+and may follow seeds, exceptions, resources and lock holds across any
+number of call boundaries.  They stay optimistic everywhere resolution fails:
 dynamic dispatch contributes nothing, so every finding rests on a
 positively-established cross-module path, which the message spells out.
 """
@@ -11,7 +11,6 @@ positively-established cross-module path, which the message spells out.
 from __future__ import annotations
 
 import ast
-import re
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.statcheck.astutil import dotted_name, last_segment, resolve_name
@@ -20,7 +19,6 @@ from repro.statcheck.flow.callgraph import CallSite
 from repro.statcheck.flow.dataflow import (
     SEED_BAD,
     classify_seed,
-    collect_input_reads,
     compute_may_raise,
 )
 from repro.statcheck.flow.index import FunctionInfo
@@ -528,165 +526,12 @@ class LockedContractRule(FlowRule):
                 return
 
 
-# ---------------------------------------------------------------------------
-# GRAPH001
-
-
-class StageSpec:
-    """One registered stage, reduced to what conformance checking needs."""
-
-    def __init__(
-        self,
-        name: str,
-        deps: Sequence[str],
-        module: str,
-        qualname: str,
-        bound: Optional[Dict[str, object]] = None,
-    ):
-        self.name = name
-        self.deps = tuple(deps)
-        self.module = module
-        self.qualname = qualname
-        self.bound = dict(bound or {})
-
-
-def real_stage_specs() -> List[StageSpec]:
-    """Specs for the real lab pipeline, via ``build_lab_graph()``.
-
-    Unwraps ``functools.partial`` builders so the constant bindings a
-    registration fixed (task id, embedding name, adaptation mode, shard)
-    become the environment the builder body is evaluated under.
-    """
-    import functools
-    import inspect
-
-    from repro.core.experiment import lab_graph
-
-    graph = lab_graph()
-    specs: List[StageSpec] = []
-    for name in graph.topological_order():
-        stage = graph.stage(name)
-        builder = stage.build
-        bound: Dict[str, object] = {}
-        while isinstance(builder, functools.partial):
-            keywords = builder.keywords or {}
-            positional = builder.args
-            builder = builder.func
-            try:
-                params = [
-                    p.name
-                    for p in inspect.signature(builder).parameters.values()
-                ]
-            except (TypeError, ValueError):
-                params = []
-            bound.update(zip(params, positional))
-            bound.update(keywords)
-        module = getattr(builder, "__module__", None)
-        qualname = getattr(builder, "__qualname__", None)
-        if not module or not qualname:
-            continue
-        scalars = {
-            key: value
-            for key, value in bound.items()
-            if isinstance(value, (int, float, str, bool))
-        }
-        specs.append(
-            StageSpec(name, stage.deps, module, qualname, scalars)
-        )
-    return specs
-
-
-class StageGraphConformanceRule(FlowRule):
-    id = "GRAPH001"
-    title = "stage builder reads an artifact it does not declare"
-    rationale = (
-        "Stage cache keys hash config slices plus *declared* upstream "
-        "keys. A builder that reads inputs['x'] without declaring 'x' "
-        "still runs (the scheduler passes the whole closure during a "
-        "fresh build) but its cache key ignores x — a change to x then "
-        "serves a stale artifact byte-for-byte identically to a correct "
-        "one. The rule evaluates each registered builder under its "
-        "partial-bound constants and compares the transitive read set "
-        "against Stage.deps."
-    )
-    example = "def _build(lab, inputs):\n    inputs['corpus']   # deps=()"
-
-    def __init__(self, spec_provider=None):
-        self._provider = spec_provider
-
-    def applies_to(self, program) -> bool:
-        return self._provider is not None or (
-            "repro.pipeline.stages" in program.contexts
-        )
-
-    def check(self, program) -> Iterator[Finding]:
-        provider = self._provider or real_stage_specs
-        specs = provider()
-        known = {spec.name for spec in specs}
-        # (rel, line, key) -> stage names affected; one finding per site+key.
-        missing: Dict[Tuple[str, int, str], Set[str]] = {}
-        anchors: Dict[Tuple[str, int, str], ast.AST] = {}
-        unknown: Dict[Tuple[str, int, str], Set[str]] = {}
-        for spec in specs:
-            fn = program.index.functions.get(f"{spec.module}:{spec.qualname}")
-            if fn is None or "inputs" not in fn.params:
-                continue
-            declared = set(spec.deps)
-            reads = collect_input_reads(
-                fn, "inputs", dict(spec.bound), program.index
-            )
-            for read in reads:
-                line = getattr(read.node, "lineno", 1)
-                if read.keys is not None:
-                    for key in sorted(read.keys - declared):
-                        slot = (read.rel, line, key)
-                        table = missing if key in known else unknown
-                        table.setdefault(slot, set()).add(spec.name)
-                        anchors[slot] = read.node
-                elif read.pattern is not None:
-                    try:
-                        regex = re.compile(read.pattern)
-                    except re.error:
-                        continue
-                    for key in sorted(known):
-                        if regex.match(key) and key not in declared:
-                            slot = (read.rel, line, key)
-                            missing.setdefault(slot, set()).add(spec.name)
-                            anchors[slot] = read.node
-        for slot in sorted(missing):
-            rel, _, key = slot
-            yield self.finding(
-                rel, anchors[slot],
-                f"builder reads inputs[{key!r}] but "
-                f"{self._stage_list(missing[slot])} does not declare it "
-                "as a dep — the cache key silently ignores that artifact",
-            )
-        for slot in sorted(unknown):
-            rel, _, key = slot
-            yield self.finding(
-                rel, anchors[slot],
-                f"builder for {self._stage_list(unknown[slot])} reads "
-                f"inputs[{key!r}], which no registered stage produces",
-            )
-
-    @staticmethod
-    def _stage_list(names: Set[str]) -> str:
-        ordered = sorted(names)
-        shown = ", ".join(repr(name) for name in ordered[:3])
-        extra = len(ordered) - 3
-        label = "stage" if len(ordered) == 1 else "stages"
-        if extra > 0:
-            return f"{label} {shown} (+{extra} more)"
-        return f"{label} {shown}"
-
-
 #: Every flow rule class, in reporting order.
 FLOW_RULE_CLASSES: Tuple[type, ...] = (
     SeedProvenanceRule,
     ExceptionEscapeRule,
     ResourceLifecycleRule,
     LockedContractRule,
-    StageGraphConformanceRule,
 )
 
 __all__ = [
@@ -696,7 +541,4 @@ __all__ = [
     "LockedContractRule",
     "ResourceLifecycleRule",
     "SeedProvenanceRule",
-    "StageGraphConformanceRule",
-    "StageSpec",
-    "real_stage_specs",
 ]

@@ -1,6 +1,6 @@
 """The statcheck rule registry.
 
-Four families, each its own module:
+Six per-file families, each its own module:
 
 * ``determinism`` (DET) — no hidden entropy, order-stable hashing/serialising;
 * ``purity`` (PUR) — stage builders are pure functions of (lab, inputs);
@@ -9,7 +9,7 @@ Four families, each its own module:
 * ``serving`` (SRV) — network transport stays quarantined in repro.serve;
 * ``perf`` (PERF) — pipeline artifact reads state their memory story.
 
-A seventh family, ``flow`` (FLOW/GRAPH), lives in
+A seventh family, ``flow`` (FLOW), lives in
 :mod:`repro.statcheck.flow`: those rules are *whole-program* — they need
 a call graph over every file, not one :class:`FileContext` — so they are
 registered here (``FAMILIES["flow"]``) but instantiated by the flow
@@ -59,7 +59,7 @@ FAMILIES: Dict[str, Tuple[str, ...]] = {
     # an import: the flow package imports the engine, which imports this
     # module — a literal here keeps the registry cycle-free.  A consistency
     # test pins it against flow.FLOW_RULE_IDS.
-    "flow": ("FLOW001", "FLOW002", "FLOW003", "FLOW004", "GRAPH001"),
+    "flow": ("FLOW001", "FLOW002", "FLOW003", "FLOW004"),
 }
 
 

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -437,7 +439,7 @@ class TestTraceSlowest:
         # simulate a manifest written before the hotspots section existed
         import json as json_mod
 
-        manifest = json_mod.loads(open(manifest_path).read())
+        manifest = json_mod.loads(Path(manifest_path).read_text())
         manifest.pop("hotspots")
         legacy = tmp_path / "legacy.manifest.json"
         legacy.write_text(json_mod.dumps(manifest, sort_keys=True))
@@ -452,6 +454,24 @@ class TestICLDeliveryEngine:
         assert args.n_backends == 1
         assert args.deadline_ms is None
         assert args.cache is None
+
+    def test_max_deliveries_without_cache_is_refused(
+        self, monkeypatch, capsys
+    ):
+        # Without a cache a stopped run would pay for its deliveries and
+        # keep none of them, so it is refused before the Lab is built.
+        import repro.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "_small_lab", lambda args: calls.append(args))
+        monkeypatch.setattr(
+            cli, "run_icl_experiment", lambda *a, **k: calls.append(a)
+        )
+        assert main(ICL_ARGS + ["--max-deliveries", "10"]) == 2
+        captured = capsys.readouterr()
+        assert "--max-deliveries needs --cache" in captured.err
+        assert "delivery engine" not in captured.err
+        assert calls == []
 
     def test_concurrent_table_matches_sequential(self, tmp_path, capsys):
         base = tmp_path / "base.txt"

@@ -155,20 +155,20 @@ class TestHedging:
 
 class TestResponseCaching:
     def test_run_serves_warm_requests_from_cache(self, tmp_path):
-        cache = ResponseCache(tmp_path / "cache")
         requests = [
             DeliveryRequest(key=str(i), prompt=f"prompt {i}", index=i)
             for i in range(6)
         ]
-        with DeliveryEngine(
-            [DeliveryBackend("b0", EchoClient())], cache=cache
-        ) as engine:
-            first = engine.run(requests)
+        with ResponseCache(tmp_path / "cache") as cache:
+            with DeliveryEngine(
+                [DeliveryBackend("b0", EchoClient())], cache=cache
+            ) as engine:
+                first = engine.run(requests)
+            with DeliveryEngine(
+                [DeliveryBackend("b0", EchoClient())], cache=cache
+            ) as engine:
+                second = engine.run(requests)
         assert first.delivered == 6 and first.cache_hits == 0
-        with DeliveryEngine(
-            [DeliveryBackend("b0", EchoClient())], cache=cache
-        ) as engine:
-            second = engine.run(requests)
         assert second.delivered == 0 and second.cache_hits == 6
         assert {key: o.text for key, o in second.outcomes.items()} == {
             key: o.text for key, o in first.outcomes.items()
@@ -184,19 +184,19 @@ class TestResponseCaching:
         assert cache.get("EchoClient", "p", 0) is None
 
     def test_cache_hits_do_not_consume_the_budget(self, tmp_path):
-        cache = ResponseCache(tmp_path / "cache")
         requests = [
             DeliveryRequest(key=str(i), prompt=f"prompt {i}", index=i)
             for i in range(4)
         ]
-        with DeliveryEngine(
-            [DeliveryBackend("b0", EchoClient())], cache=cache
-        ) as engine:
-            engine.run(requests[:2])
-        with DeliveryEngine(
-            [DeliveryBackend("b0", EchoClient())], cache=cache
-        ) as engine:
-            report = engine.run(requests, max_deliveries=2)
+        with ResponseCache(tmp_path / "cache") as cache:
+            with DeliveryEngine(
+                [DeliveryBackend("b0", EchoClient())], cache=cache
+            ) as engine:
+                engine.run(requests[:2])
+            with DeliveryEngine(
+                [DeliveryBackend("b0", EchoClient())], cache=cache
+            ) as engine:
+                report = engine.run(requests, max_deliveries=2)
         assert report.cache_hits == 2
         assert report.delivered == 2
         assert report.skipped == 0
@@ -253,17 +253,17 @@ class TestEngineMatchesSequential:
 
     def test_warm_cache_rerun_rebuilds_nothing(self, icl_setup, tmp_path):
         sequential = _sequential_result(icl_setup)
-        cache = ResponseCache(tmp_path / "cache")
-        with DeliveryEngine(
-            _backends(icl_setup, n=2), DeliveryConfig(jobs=4), cache=cache
-        ) as engine:
-            cold = _engine_result(icl_setup, engine)
-            cold_counters = engine.counters()
-        with DeliveryEngine(
-            _backends(icl_setup, n=2), DeliveryConfig(jobs=4), cache=cache
-        ) as engine:
-            warm = _engine_result(icl_setup, engine)
-            warm_counters = engine.counters()
+        with ResponseCache(tmp_path / "cache") as cache:
+            with DeliveryEngine(
+                _backends(icl_setup, n=2), DeliveryConfig(jobs=4), cache=cache
+            ) as engine:
+                cold = _engine_result(icl_setup, engine)
+                cold_counters = engine.counters()
+            with DeliveryEngine(
+                _backends(icl_setup, n=2), DeliveryConfig(jobs=4), cache=cache
+            ) as engine:
+                warm = _engine_result(icl_setup, engine)
+                warm_counters = engine.counters()
         n_deliveries = cold_counters["deliveries"]
         assert warm_counters == {"cache_hit": n_deliveries}
         assert "completions" not in warm_counters

@@ -3,13 +3,13 @@
 Each case builds one fixed, seeded workload over a library hot path (OBO
 parsing, WordPiece training, GloVe co-occurrence counting, SGNS training,
 a mini-BERT MLM pass, random-forest fitting and prediction, ICL delivery
-through the concurrent engine, a warm artifact-store load), runs its body
-twice on the same set-up state, and asserts that both results digest
-(:func:`~repro.utils.rng.stable_digest`) to the committed checksum.  The
-second run checks that a body is repeatable on warm state; the checksum
-checks that a refactor (flat-array trees, a new cache format) left the
-kernel's output unchanged.  A changed digest needs a fix or an explained
-re-golden.
+through the concurrent engine, a warm artifact-store load, the stage graph's
+cache keys), runs its body twice on the same set-up state, and asserts that
+both results digest (:func:`~repro.utils.rng.stable_digest`) to the
+committed checksum.  The second run checks that a body is repeatable on
+warm state; the checksum checks that a refactor (flat-array trees, a new
+cache format) left the kernel's output unchanged.  A changed digest needs
+a fix or an explained re-golden.
 
 Timing lives in ``e2ebench/``; these cases only check results.  The rng
 labels (``perf-corpus``, ``perf-rf``, ``perf-store``) seed the pinned
@@ -320,6 +320,20 @@ def store_roundtrip(tmp_path):
     yield run
 
 
+@contextmanager
+def stage_keys(tmp_path):
+    """Every stage's cache key under the default and the micro Lab config.
+
+    A warm store built by an earlier revision hits only while these keys
+    hold, so a refactor of the stage graph must leave them unchanged.
+    """
+    from repro.core.experiment import LabConfig, lab_graph
+    from tests.conftest import MICRO_LAB_CONFIG
+
+    graph = lab_graph()
+    yield lambda: (graph.keys(LabConfig()), graph.keys(MICRO_LAB_CONFIG))
+
+
 #: Workload -> the committed digest of its body's result.
 DIGESTS = {
     obo_parse: "d7b95854ae83925dad7f8ed57ad9c899",
@@ -333,6 +347,7 @@ DIGESTS = {
     icl_delivery: "55c62a285b2b599a7926b7605dff5080",
     icl_delivery_outcomes: "d842e03f37cb62ea509695e334360962",
     store_roundtrip: "12f9e4227f305c1ed24def4e153a7609",
+    stage_keys: "7d4485e77af90ec8c3ba02746150369a",
 }
 
 

@@ -1,12 +1,15 @@
-"""Stage-graph structure and content-addressed cache-key tests."""
+"""Stage-graph structure, content-addressed cache-key and stage-contract
+tests."""
 
+from collections.abc import Mapping
 import dataclasses
 
 import pytest
 
-from repro.core.experiment import LabConfig, lab_graph
+from repro.core.experiment import Lab, LabConfig, lab_graph
 from repro.pipeline.graph import StageGraph
 from repro.pipeline.stage import Stage, StageError
+from tests.conftest import MICRO_LAB_CONFIG
 
 
 def _stage(name, deps=(), **kwargs):
@@ -180,3 +183,103 @@ class TestCacheKeys:
         ).keys(LabConfig())
         assert base["up"] != bumped["up"]
         assert base["down"] != bumped["down"]
+
+
+class _RecordingConfig:
+    """A LabConfig view that records the name of every field read."""
+
+    def __init__(self, config):
+        self._config = config
+        self.reads = set()
+
+    def __getattr__(self, name):
+        self.reads.add(name)
+        return getattr(self._config, name)
+
+
+class _RecordingInputs(Mapping):
+    """A stage's ``inputs`` mapping that records every key asked for.
+
+    It holds every artifact built so far, not just the declared deps
+    ``Lab.materialize`` passes, so a read outside ``deps`` is reported by
+    name instead of ending the build in a bare ``KeyError``.
+    """
+
+    def __init__(self, artifacts):
+        self._artifacts = artifacts
+        self.reads = set()
+
+    def __getitem__(self, key):
+        self.reads.add(key)
+        return self._artifacts[key]
+
+    def __iter__(self):
+        return iter(self._artifacts)
+
+    def __len__(self):
+        return len(self._artifacts)
+
+
+class _ContractLab:
+    """All of a Lab a builder may use: its config and the model configs
+    derived from it."""
+
+    rf_config = Lab.rf_config
+    ft_config = Lab.ft_config
+
+    def __init__(self, config):
+        self.config = config
+
+
+@pytest.fixture(scope="module")
+def stage_reads(tmp_path_factory):
+    """Build every stage of the micro graph in topological order, saving
+    and reloading each persistable one, and return stage name ->
+    ``(slice fields, builder fields, builder inputs, loader inputs)``."""
+    graph = lab_graph()
+    root = tmp_path_factory.mktemp("stage-contract")
+    artifacts = {}
+    reads = {}
+    for name in graph.topological_order():
+        stage = graph.stage(name)
+        slice_config = _RecordingConfig(MICRO_LAB_CONFIG)
+        stage.config_slice(slice_config)
+        build_config = _RecordingConfig(MICRO_LAB_CONFIG)
+        build_inputs = _RecordingInputs(artifacts)
+        artifact = stage.build(_ContractLab(build_config), build_inputs)
+        load_inputs = _RecordingInputs(artifacts)
+        if stage.persistable:
+            entry = root / name
+            entry.mkdir()
+            stage.save(artifact, entry)
+            stage.load(entry, load_inputs)
+        artifacts[name] = artifact
+        reads[name] = (
+            slice_config.reads,
+            build_config.reads,
+            build_inputs.reads,
+            load_inputs.reads,
+        )
+    return reads
+
+
+class TestStageContract:
+    """A stage's cache key hashes its config slice and its deps' keys, so
+    a warm store is correct only if the builder reads nothing else."""
+
+    @pytest.mark.parametrize("name", lab_graph().topological_order())
+    def test_builder_reads_only_its_slice_and_deps(self, stage_reads, name):
+        slice_fields, config_fields, build_inputs, load_inputs = stage_reads[name]
+        deps = set(lab_graph().stage(name).deps)
+        assert config_fields <= slice_fields, (
+            f"{name} reads LabConfig fields outside its config_slice: "
+            f"{sorted(config_fields - slice_fields)}"
+        )
+        assert build_inputs | load_inputs <= deps, (
+            f"{name} reads inputs it does not declare as deps: "
+            f"{sorted((build_inputs | load_inputs) - deps)}"
+        )
+        assert deps <= build_inputs | load_inputs, (
+            f"{name} declares deps that neither its builder nor its loader "
+            f"reads: {sorted(deps - build_inputs - load_inputs)}"
+        )

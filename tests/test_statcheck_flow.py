@@ -1,11 +1,11 @@
-"""Fixture tests for the whole-program flow rules (FLOW001-004, GRAPH001).
+"""Fixture tests for the whole-program flow rules (FLOW001-004).
 
 Same contract as ``test_statcheck_rules``: every rule gets a malicious
 program proving it fires across a call boundary and a clean twin proving
 it stays quiet — the flow layer's false-positive budget is zero too,
 because a whole-program rule that cries wolf gets suppressed wholesale.
-Programs are built in memory with :func:`program_from_sources`; GRAPH001
-is additionally pinned against the *real* ``lab_graph()`` at the bottom.
+Programs are built in memory with :func:`program_from_sources`; the
+shipped tree itself must flow clean at the bottom.
 """
 
 import textwrap
@@ -13,14 +13,11 @@ import time
 
 from repro.statcheck.flow import (
     FLOW_RULE_IDS,
-    StageSpec,
     default_flow_rules,
     program_from_sources,
-    real_stage_specs,
     run_flow_rules,
     select_flow_rules,
 )
-from repro.statcheck.flow.rules_flow import StageGraphConformanceRule
 
 
 def flow_findings(sources, rules=None):
@@ -466,91 +463,6 @@ class TestLockedContract:
         assert "deadlock" in found[0].message
 
 
-BUILDER_FIXTURE = {
-    "/fx/stagesmod.py": """
-    def build_a(lab, inputs):
-        return 1
-
-    def build_b(lab, inputs):
-        return inputs["a"] + 1
-    """
-}
-
-
-def graph_rule(specs):
-    return StageGraphConformanceRule(spec_provider=lambda: list(specs))
-
-
-class TestStageGraphConformance:
-    def test_undeclared_known_dep_fires(self):
-        specs = [
-            StageSpec("a", (), "stagesmod", "build_a"),
-            StageSpec("b", (), "stagesmod", "build_b"),
-        ]
-        found = flow_findings(BUILDER_FIXTURE, rules=[graph_rule(specs)])
-        assert [f.rule for f in found] == ["GRAPH001"]
-        assert "does not declare it as a dep" in found[0].message
-
-    def test_declared_dep_is_clean(self):
-        specs = [
-            StageSpec("a", (), "stagesmod", "build_a"),
-            StageSpec("b", ("a",), "stagesmod", "build_b"),
-        ]
-        assert flow_findings(BUILDER_FIXTURE, rules=[graph_rule(specs)]) == []
-
-    def test_read_of_unregistered_artifact_fires(self):
-        specs = [StageSpec("b", (), "stagesmod", "build_b")]
-        found = flow_findings(BUILDER_FIXTURE, rules=[graph_rule(specs)])
-        assert [f.rule for f in found] == ["GRAPH001"]
-        assert "no registered stage produces" in found[0].message
-
-    def test_helper_descent_and_loop_unrolling(self):
-        sources = {
-            "/fx/stagesmod.py": """
-            SHARDS = 3
-
-            def _merge(inputs, prefix):
-                return [inputs[f"{prefix}-{i}"] for i in range(SHARDS)]
-
-            def build_m(lab, inputs):
-                return sum(_merge(inputs, "shard"))
-            """
-        }
-        # The shard stages use a builder that is not in the fixture tree,
-        # so only 'merged' is evaluated; they still register as producers.
-        specs = [
-            StageSpec("shard-0", (), "stagesmod", "absent"),
-            StageSpec("shard-1", (), "stagesmod", "absent"),
-            StageSpec("shard-2", (), "stagesmod", "absent"),
-            StageSpec(
-                "merged", ("shard-0", "shard-1"), "stagesmod", "build_m"
-            ),
-        ]
-        found = flow_findings(sources, rules=[graph_rule(specs)])
-        assert [f.rule for f in found] == ["GRAPH001"]
-        assert "shard-2" in found[0].message
-
-    def test_partial_bound_constants_prune_branches(self):
-        sources = {
-            "/fx/stagesmod.py": """
-            def build_split(lab, inputs, kind):
-                if kind == "ml":
-                    return inputs["ml-base"]
-                return inputs["ft-base"]
-            """
-        }
-        specs = [
-            StageSpec("ml-base", (), "stagesmod", "absent"),
-            StageSpec("ft-base", (), "stagesmod", "absent"),
-            StageSpec(
-                "split", ("ml-base",), "stagesmod", "build_split",
-                bound={"kind": "ml"},
-            ),
-        ]
-        # The ft-base branch is dead under kind="ml": no finding.
-        assert flow_findings(sources, rules=[graph_rule(specs)]) == []
-
-
 class TestFlowRegistry:
     def test_flow_family_matches_flow_rule_ids(self):
         from repro.statcheck import FAMILIES
@@ -569,26 +481,6 @@ class TestFlowRegistry:
 
 
 class TestRealStageGraph:
-    def test_every_registered_stage_is_analyzable(self):
-        # GRAPH001's value is proportional to its coverage: every stage the
-        # real lab_graph() registers must resolve to an indexed builder
-        # that takes `inputs` (or takes no inputs at all).
-        specs = real_stage_specs()
-        assert len(specs) >= 90
-        from repro.statcheck.flow import build_program
-        from repro.statcheck.engine import default_target, discover_files, make_context
-
-        contexts = []
-        for path in discover_files([default_target()]):
-            contexts.append(make_context(path, path.read_text(encoding="utf-8")))
-        program = build_program(contexts)
-        unresolved = [
-            spec.name
-            for spec in specs
-            if f"{spec.module}:{spec.qualname}" not in program.index.functions
-        ]
-        assert unresolved == []
-
     def test_shipped_tree_flows_clean_within_budget(self):
         from repro.statcheck.flow import build_program
         from repro.statcheck.engine import default_target, discover_files, make_context
